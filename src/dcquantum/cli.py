@@ -73,6 +73,12 @@ def cmd_walk(args) -> int:
     if args.sites < 2:
         print("error: --sites must be >= 2", file=sys.stderr)
         return USAGE
+    if args.steps < 0:
+        print("error: --steps must be >= 0", file=sys.stderr)
+        return USAGE
+    if args.record_every < 1:
+        print("error: --record-every must be >= 1", file=sys.stderr)
+        return USAGE
     if not math.isfinite(args.mass):
         print("error: --mass must be finite", file=sys.stderr)
         return USAGE

@@ -71,3 +71,8 @@ class InfinitesimalVector(DCError):
 
 class PatchMismatch(DCError):
     """Lorentz patch wire counts disagree with the supplied inputs."""
+
+
+class MalformedTrajectory(DCError):
+    """Trajectory CSV whose snapshot rows do not cover x_index 0 .. sites-1
+    exactly once, or whose snapshots differ in size."""

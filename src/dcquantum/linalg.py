@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimMismatch,
@@ -49,6 +48,18 @@ class DCVector:
             raise DimMismatch("vector parts must be equal-length 1-d arrays")
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "inf", inf)
+
+    @classmethod
+    def _owning(cls, sig: np.ndarray, inf: np.ndarray) -> "DCVector":
+        """Take ownership of two freshly allocated, equal-length 1-d
+        complex arrays without the defensive copy: they are frozen in
+        place, so the caller must hold no other reference it writes to."""
+        sig.setflags(write=False)
+        inf.setflags(write=False)
+        v = object.__new__(cls)
+        object.__setattr__(v, "sig", sig)
+        object.__setattr__(v, "inf", inf)
+        return v
 
     @property
     def dim(self) -> int:
@@ -316,6 +327,10 @@ def mat_exp(a_eps: DCMatrix) -> DCMatrix:
     """
     if a_eps.rows != a_eps.cols:
         raise NonSquare("mat_exp needs a square matrix")
+    # Imported here so that `import dcquantum` and `dcq walk`, which never
+    # exponentiate, do not pay for loading scipy.
+    import scipy.linalg
+
     n = a_eps.rows
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, :n] = a_eps.sig

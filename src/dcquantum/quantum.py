@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimMismatch,
@@ -203,6 +202,8 @@ def complex_correct_unitary(u_eps: DCMatrix, h: float,
                             atol: float = 1e-8) -> np.ndarray:
     """exp(ihH) U: the conventional unitary agreeing with U_eps|_(eps=h)
     up to O(h^2)."""
+    import scipy.linalg  # imported on first use, as in linalg.mat_exp
+
     u, herm = decompose_unitary(u_eps, atol)
     return scipy.linalg.expm(1j * h * herm) @ u
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import repeat
 
 import numpy as np
 
-from .errors import DCError, DimMismatch
+from .errors import DCError, DimMismatch, MalformedTrajectory
 from .linalg import DCMatrix, DCVector
 from .quantum import Measurement, QuantumState
 from .scalar import DualComplex
@@ -124,23 +125,26 @@ TRAJECTORY_COLUMNS = [
 
 
 def write_trajectory_csv(snapshots, path: str) -> None:
+    """Write snapshots as CSV rows t_step, x_index, then the real and
+    imaginary parts of psi+ (sig, inf) and psi- (sig, inf), each float
+    as its repr: the bytes the csv module's default dialect writes for
+    those rows, built one snapshot at a time."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRAJECTORY_COLUMNS)
+        f.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for snap in snapshots:
-            for x in range(snap.sites):
-                p, mns = snap.plus[x], snap.minus[x]
-                writer.writerow(
-                    [snap.time, x]
-                    + [repr(v) for v in (
-                        p.sig.real, p.sig.imag, p.inf.real, p.inf.imag,
-                        mns.sig.real, mns.sig.imag, mns.inf.real, mns.inf.imag,
-                    )]
-                )
+            parts = (snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf)
+            columns = [map(repr, c.tolist()) for p in parts for c in (p.real, p.imag)]
+            rows = zip(repeat(str(snap.time)), map(str, range(snap.sites)), *columns)
+            lines = "\r\n".join(map(",".join, rows))
+            if lines:  # a snapshot with no sites has no rows
+                f.write(lines + "\r\n")
 
 
 def read_trajectory_csv(path: str) -> list:
-    """Read back a trajectory as a list of WalkState snapshots."""
+    """Read back a trajectory as a list of WalkState snapshots.
+
+    Every snapshot must hold the rows x_index = 0 .. sites-1 once each,
+    with the same number of sites as the first snapshot."""
     by_step: dict = {}
     with open(path) as f:
         reader = csv.DictReader(f)
@@ -151,6 +155,16 @@ def read_trajectory_csv(path: str) -> list:
     for t in sorted(by_step):
         rows = sorted(by_step[t], key=lambda r: int(r["x_index"]))
         n = len(rows)
+        if snaps and n != snaps[0].sites:
+            raise MalformedTrajectory(
+                f"t_step {t}: {n} rows, but t_step {snaps[0].time} has {snaps[0].sites}")
+        for x, r in enumerate(rows):
+            k = int(r["x_index"])
+            if k > x:
+                raise MalformedTrajectory(f"t_step {t}: missing x_index {x}")
+            if k < x:
+                what = "duplicate" if k >= 0 else "negative"
+                raise MalformedTrajectory(f"t_step {t}: {what} x_index {k}")
         ps = np.empty(n, dtype=complex)
         pi = np.empty(n, dtype=complex)
         ms = np.empty(n, dtype=complex)

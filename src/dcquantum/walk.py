@@ -77,17 +77,41 @@ def point_source(sites: int, x0: Optional[int] = None, dx: float = 1.0) -> WalkS
     return WalkState(DCVector(plus), DCVector(np.zeros(sites, dtype=complex)), dx=dx)
 
 
+# (destination, source) slice pairs of a periodic shift by one site.
+_SHIFT_RIGHT = ((np.s_[1:], np.s_[:-1]), (np.s_[:1], np.s_[-1:]))
+_SHIFT_LEFT = ((np.s_[:-1], np.s_[1:]), (np.s_[-1:], np.s_[:1]))
+
+
+def _advance(sig_out, inf_out, own: DCVector, other_sig, coupling, shift) -> None:
+    """One mover's update, written in place:
+    sig_out = roll(own.sig), inf_out = roll(own.inf - coupling*other_sig)."""
+    for dst, src in shift:
+        sig_out[dst] = own.sig[src]
+        inf = inf_out[dst]
+        np.multiply(coupling, other_sig[src], out=inf)
+        np.subtract(own.inf[src], inf, out=inf)
+
+
 def step(w: WalkState, m: float) -> WalkState:
     """One walk step: at each site, (psi-_out at x-1, psi+_out at x+1) =
-    gate . (psi+(x), psi-(x)), periodic."""
+    gate . (psi+(x), psi-(x)), periodic.
+
+    The four parts of the new state are computed straight into the rows
+    of one fresh block, which the state then owns read-only, so
+    snapshots never share buffers.  A step makes no temporaries: in a
+    loop that drops old states the allocator reuses a freed block,
+    whereas field-sized temporaries go back to the OS and are faulted in
+    again on every step."""
     # gate rows: psi-_out = psi- - i m eps psi+ ; psi+_out = psi+ - i m eps psi-
-    minus_sig = np.roll(w.minus.sig, -1)
-    minus_inf = np.roll(w.minus.inf - 1j * m * w.plus.sig, -1)
-    plus_sig = np.roll(w.plus.sig, 1)
-    plus_inf = np.roll(w.plus.inf - 1j * m * w.minus.sig, 1)
+    # evaluated as inf - (1j*m)*sig, elementwise, so every bit (signed
+    # zeros included) is that of the plain np.roll recurrence
+    coupling = 1j * m
+    plus_sig, plus_inf, minus_sig, minus_inf = np.empty((4, w.sites), dtype=complex)
+    _advance(plus_sig, plus_inf, w.plus, w.minus.sig, coupling, _SHIFT_RIGHT)
+    _advance(minus_sig, minus_inf, w.minus, w.plus.sig, coupling, _SHIFT_LEFT)
     return WalkState(
-        DCVector(plus_sig, plus_inf),
-        DCVector(minus_sig, minus_inf),
+        DCVector._owning(plus_sig, plus_inf),
+        DCVector._owning(minus_sig, minus_inf),
         dx=w.dx,
         time=w.time + 1,
     )

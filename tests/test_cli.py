@@ -1,13 +1,16 @@
 """End-to-end tests of the dcq command line."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import dcquantum
 from dcquantum import serialize
 from dcquantum.cli import main
 from dcquantum.linalg import DCMatrix, dilation_block
@@ -52,6 +55,17 @@ class TestWalkCommand:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "--sites" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--steps", "-3"),
+                                             ("--record-every", "0"),
+                                             ("--record-every", "-2")])
+    def test_bad_step_counts_are_usage_errors(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        args = {"--mass": "1.0", "--sites": "4", "--steps": "2", flag: value}
+        rc = main(["walk", *[a for kv in args.items() for a in kv], "--out", str(out)])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheckCommand:
@@ -182,3 +196,31 @@ def test_console_script_help():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "walk" in out.stdout and "translate" in out.stdout
+
+
+def test_import_and_walk_leave_scipy_unloaded(tmp_path):
+    """scipy.linalg loads on the first exponential, never for `import
+    dcquantum`, `import dcquantum.cli` or `dcq walk`."""
+    code = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import dcquantum.cli
+        import dcquantum
+        assert "scipy.linalg" not in sys.modules, "import"
+        rc = dcquantum.cli.main(["walk", "--mass", "0.5", "--sites", "8",
+                                 "--steps", "3", "--out", {str(tmp_path / "w.csv")!r}])
+        assert rc == 0 and "scipy.linalg" not in sys.modules, "walk"
+
+        from dcquantum import DCMatrix, complex_correct_unitary, mat_exp
+        from dcquantum.walk import corrected_gate, dirac_gate
+        e = mat_exp(DCMatrix(np.zeros((2, 2)), np.eye(2)))
+        assert np.allclose(e.sig, np.eye(2)) and np.allclose(e.inf, np.eye(2))
+        u = complex_correct_unitary(dirac_gate(0.5), 0.1)
+        assert np.allclose(u, corrected_gate(0.5, 0.1), atol=1e-12)
+        assert "scipy.linalg" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(dcquantum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr

@@ -1,12 +1,13 @@
 """Round-trip tests for the JSON and CSV formats."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from conftest import random_dc_unitary, random_dc_vector
-from dcquantum.errors import DCError, DimMismatch
+from dcquantum.errors import DCError, DimMismatch, MalformedTrajectory
 from dcquantum.linalg import DCMatrix, DCVector
 from dcquantum.quantum import Measurement, QuantumState, measurement_from_complex, normalize
 from dcquantum.scalar import DualComplex
@@ -20,13 +21,14 @@ from dcquantum.serialize import (
     scalar_from_json,
     scalar_to_json,
     state_to_json,
+    TRAJECTORY_COLUMNS,
     tagged_from_json,
     unitary_to_json,
     vector_from_json,
     vector_to_json,
     write_trajectory_csv,
 )
-from dcquantum.walk import point_source, run
+from dcquantum.walk import WalkState, point_source, run
 
 
 class TestScalar:
@@ -123,3 +125,54 @@ class TestTrajectory:
             header = f.readline().strip().split(",")
         assert header[:2] == ["t_step", "x_index"]
         assert header[2] == "psiplus_re_sig" and header[-1] == "psiminus_im_inf"
+
+    def test_bytes_match_csv_module_reference(self, tmp_path):
+        """The writer against the csv-module writer it replaced, kept as
+        the reference, on values whose repr is easy to get wrong."""
+        special = np.array([complex(-0.0, 5e-324), complex(1 / 3, -0.0),
+                            complex(2.5e-310, -1e300), complex(0.1, 7.0)])
+        snaps = run(point_source(4, x0=1), m=0.37, steps=3)
+        snaps.append(WalkState(DCVector(special, special[::-1] * 1j),
+                               DCVector(-special, special.conj()), time=99))
+        snaps.append(WalkState(DCVector(np.zeros(0)), DCVector(np.zeros(0)), time=100))
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(snaps, str(path))
+
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(TRAJECTORY_COLUMNS)
+            for snap in snaps:
+                for x in range(snap.sites):
+                    p, mns = snap.plus[x], snap.minus[x]
+                    writer.writerow([snap.time, x] + [repr(v) for v in (
+                        p.sig.real, p.sig.imag, p.inf.real, p.inf.imag,
+                        mns.sig.real, mns.sig.imag, mns.inf.real, mns.inf.imag)])
+        data = path.read_bytes()
+        assert data == ref.read_bytes()
+        assert b",-0.0," in data and b",5e-324," in data and b"2.5e-310" in data
+        assert any(s.plus.inf.any() for s in snaps)
+
+
+def _trajectory_lines(tmp_path):
+    """Header, then rows (t, x) = (0, 0..3), (1, 0..3), (2, 0..3)."""
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(run(point_source(4), m=0.5, steps=2), str(path))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+class TestTrajectoryRejectsMalformed:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + lines[3:], "t_step 0: missing x_index 1"),
+        (lambda lines: lines[:6] + [lines[7]] + lines[7:], "t_step 1: missing x_index 1"),
+        (lambda lines: lines[:8] + [lines[7]] + lines[9:], "t_step 1: duplicate x_index 2"),
+        (lambda lines: lines[:8] + lines[9:], "t_step 1: 3 rows, but t_step 0 has 4"),
+        (lambda lines: lines[:5] + [lines[5].replace(",0,", ",-1,", 1)] + lines[6:],
+         "t_step 1: negative x_index -1"),
+    ])
+    def test_bad_rows_name_the_snapshot(self, tmp_path, edit, message):
+        path, lines = _trajectory_lines(tmp_path)
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(MalformedTrajectory, match=message) as info:
+            read_trajectory_csv(str(path))
+        assert isinstance(info.value, DCError)

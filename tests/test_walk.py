@@ -89,6 +89,43 @@ class TestStep:
         snaps = run(point_source(8), 0.5, steps=5, record_every=2)
         assert [s.time for s in snaps] == [0, 2, 4, 5]
 
+    @pytest.mark.parametrize("sites", [1, 2, 3, 17, 64])
+    @pytest.mark.parametrize("m", [0.9, -1.3])
+    def test_bit_identical_to_roll_recurrence(self, sites, m, rng):
+        """The plain np.roll recurrence the kernel replaces, kept as the
+        reference: every step must agree to the bit, signed zeros
+        included."""
+        pool = np.array([0.0, -0.0, 1.5, -0.7, 5e-324])
+
+        def field():
+            z = np.empty(sites, dtype=complex)
+            for part in (z.real, z.imag):
+                part[:] = np.where(rng.random(sites) < 0.5, rng.choice(pool, sites),
+                                   rng.standard_normal(sites))
+            return z
+
+        ps, pi, ms, mi = (field() for _ in range(4))
+        w = WalkState(DCVector(ps, pi), DCVector(ms, mi))
+        for n in range(1, 121):
+            w = step(w, m)
+            ps, pi, ms, mi = (np.roll(ps, 1), np.roll(pi - 1j * m * ms, 1),
+                              np.roll(ms, -1), np.roll(mi - 1j * m * ps, -1))
+            assert w.time == n
+            for got, want in zip((w.plus.sig, w.plus.inf, w.minus.sig, w.minus.inf),
+                                 (ps, pi, ms, mi)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_snapshots_read_only_and_disjoint(self):
+        snaps = run(point_source(8), 0.7, steps=5)
+        parts = [a for s in snaps for a in (s.plus.sig, s.plus.inf,
+                                            s.minus.sig, s.minus.inf)]
+        assert not any(a.flags.writeable for a in parts)
+        with pytest.raises(ValueError):
+            snaps[-1].minus.inf[0] = 1.0
+        for i, a in enumerate(parts):
+            for b in parts[i + 1:]:
+                assert not np.shares_memory(a, b)
+
     def test_mismatched_fields_rejected(self):
         with pytest.raises(PatchMismatch):
             WalkState(DCVector(np.zeros(3)), DCVector(np.zeros(4)))
