@@ -15,16 +15,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import scalar, serialize
-from .errors import DCError
+from .errors import DCError, MalformedInput
 from .linalg import (
     DCMatrix,
     check_appreciably_semipositive,
-    classify_op,
     eig_hermitian,
     eig_unitary,
     is_hermitian,
     is_unitary,
     OperatorKind,
+    residual,
 )
 from .quantum import (
     Measurement,
@@ -95,21 +95,6 @@ def cmd_walk(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_unitary(m: DCMatrix, atol: float):
-    prod = m.adjoint() @ m
-    eye = np.eye(m.rows)
-    residual = max(float(np.abs(prod.sig - eye).max()), float(np.abs(prod.inf).max()))
-    return residual <= atol, residual
-
-
-def _check_hermitian(m: DCMatrix, atol: float):
-    adj = m.adjoint()
-    residual = max(
-        float(np.abs(adj.sig - m.sig).max()), float(np.abs(adj.inf - m.inf).max())
-    )
-    return residual <= atol, residual
-
-
 def _check_spectrum(m: DCMatrix, atol: float, delta: float):
     if is_hermitian(m):
         spec = eig_hermitian(m, delta)
@@ -118,10 +103,8 @@ def _check_spectrum(m: DCMatrix, atol: float, delta: float):
     else:
         return False, float("inf")
     rec = spec.reconstruct()
-    residual = max(
-        float(np.abs(rec.sig - m.sig).max()), float(np.abs(rec.inf - m.inf).max())
-    )
-    return residual <= atol, residual
+    worst = max(float(np.abs(rec.sig - m.sig).max()), float(np.abs(rec.inf - m.inf).max()))
+    return worst <= atol, worst
 
 
 def cmd_check(args) -> int:
@@ -153,22 +136,24 @@ def cmd_check(args) -> int:
     if isinstance(obj, Measurement):
         print("error: check expects a unitary/matrix file", file=sys.stderr)
         return USAGE
-    m = obj if isinstance(obj, DCMatrix) else DCMatrix(obj.vec.sig.reshape(-1, 1))
+    if isinstance(obj, DCMatrix):
+        m = obj
+    else:  # a state is checked as its n x 1 column, eps-part included
+        m = DCMatrix(obj.vec.sig.reshape(-1, 1), obj.vec.inf.reshape(-1, 1))
 
-    if args.what == "unitary":
-        ok, residual = _check_unitary(m, args.rtol)
-    elif args.what == "hermitian":
-        ok, residual = _check_hermitian(m, args.rtol)
+    if args.what in ("unitary", "hermitian"):
+        worst = residual(m, OperatorKind(args.what))
+        ok = worst <= args.rtol
     elif args.what == "spectrum":
-        ok, residual = _check_spectrum(m, args.rtol, delta)
+        ok, worst = _check_spectrum(m, args.rtol, delta)
     elif args.what == "semipositive":
         rep = check_appreciably_semipositive(m, trials=args.trials, seed=args.seed,
                                              tau=args.tau)
-        ok, residual = rep.passed, rep.worst_violation
+        ok, worst = rep.passed, rep.worst_violation
     else:  # unreachable; argparse restricts choices
         return USAGE
 
-    report = {"check": args.what, "pass": bool(ok), "worst_residual": residual}
+    report = {"check": args.what, "pass": bool(ok), "worst_residual": worst}
     _write_report(report, args.out)
     return PASS if ok else FAIL
 
@@ -181,10 +166,20 @@ def cmd_check(args) -> int:
 def _extend_from_family(data, step_default: float):
     """Family file: matrices sampled at -step, 0, +step.  One operator
     per slot means a unitary family; several mean a measurement."""
-    step = float(data.get("step", step_default))
-    zero = [serialize.matrix_from_json(m) for m in data["at_zero"]]
-    plus = [serialize.matrix_from_json(m) for m in data["at_plus"]]
-    minus = [serialize.matrix_from_json(m) for m in data["at_minus"]]
+    step = data.get("step", step_default)
+    if type(step) not in (int, float) or not 0 < step < math.inf:
+        raise MalformedInput(f"step: expected a positive number, got {step!r}")
+    step = float(step)
+    sampled = []
+    for key in ("at_zero", "at_plus", "at_minus"):
+        mats = serialize.require(data, key)
+        if type(mats) is not list or not mats:
+            raise MalformedInput(f"{key}: expected a non-empty list of matrices")
+        sampled.append([serialize.matrix_from_json(m, f"{key}[{i}]")
+                        for i, m in enumerate(mats)])
+    zero, plus, minus = sampled
+    if not len(zero) == len(plus) == len(minus):
+        raise MalformedInput("at_zero, at_plus and at_minus differ in length")
     if len(zero) == 1:
         grid = {0.0: zero[0].sig, step: plus[0].sig, -step: minus[0].sig}
         fam = ParamUnitary(evaluate=lambda h: grid[h])
@@ -199,7 +194,7 @@ def _extend_from_family(data, step_default: float):
 def cmd_translate(args) -> int:
     data = _load_json(args.input)
     if args.extend:
-        if data.get("kind") != "family":
+        if not isinstance(data, dict) or data.get("kind") != "family":
             print("error: --extend expects a family file", file=sys.stderr)
             return USAGE
         out = _extend_from_family(data, args.h or 1e-6)
@@ -319,6 +314,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except MalformedInput as e:
+        print(f"error: {args.input}: {e}", file=sys.stderr)
+        return USAGE
     except DCError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return FAIL

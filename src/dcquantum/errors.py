@@ -76,3 +76,9 @@ class PatchMismatch(DCError):
 class MalformedTrajectory(DCError):
     """Trajectory CSV whose snapshot rows do not cover x_index 0 .. sites-1
     exactly once, or whose snapshots differ in size."""
+
+
+class MalformedInput(DCError):
+    """JSON input that does not follow the documented format: a missing
+    key, a scalar that is not four numbers, a non-number or non-finite
+    entry.  The message names the offending key or entry."""

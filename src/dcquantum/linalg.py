@@ -263,31 +263,32 @@ def divide_vector(v: DCVector, w, tau: float = TAU) -> DCVector:
 # ---------------------------------------------------------------------------
 
 
+def _max_abs(*arrays) -> float:
+    """Largest modulus over the arrays; NaN if any entry is NaN."""
+    return float(np.max([np.abs(a).max(initial=0.0) for a in arrays]))
+
+
+def residual(m: DCMatrix, kind: OperatorKind) -> float:
+    """Max-norm defect of m from the identity that defines `kind`, over
+    both components: M^dag - M (Hermitian), M^dag + M (anti-Hermitian),
+    or M^dag M - I (unitary; for a non-square m, an isometry check)."""
+    adj = m.adjoint()
+    if kind is OperatorKind.UNITARY:
+        prod = adj @ m
+        return _max_abs(prod.sig - np.eye(m.cols), prod.inf)
+    if m.rows != m.cols:
+        raise NonSquare(f"{kind.value} residual needs a square matrix, got {m.shape}")
+    if kind is OperatorKind.HERMITIAN:
+        return _max_abs(adj.sig - m.sig, adj.inf - m.inf)
+    return _max_abs(adj.sig + m.sig, adj.inf + m.inf)
+
+
 def classify_op(m: DCMatrix, atol: float = 1e-10) -> frozenset:
     """Flags from {HERMITIAN, ANTI_HERMITIAN, UNITARY}, each checked on
     both components within atol."""
     if m.rows != m.cols:
         raise NonSquare(f"classify_op needs a square matrix, got {m.shape}")
-    flags = set()
-    adj = m.adjoint()
-    if (
-        np.allclose(adj.sig, m.sig, atol=atol, rtol=0.0)
-        and np.allclose(adj.inf, m.inf, atol=atol, rtol=0.0)
-    ):
-        flags.add(OperatorKind.HERMITIAN)
-    if (
-        np.allclose(adj.sig, -m.sig, atol=atol, rtol=0.0)
-        and np.allclose(adj.inf, -m.inf, atol=atol, rtol=0.0)
-    ):
-        flags.add(OperatorKind.ANTI_HERMITIAN)
-    prod = adj @ m
-    eye = np.eye(m.rows)
-    if (
-        np.allclose(prod.sig, eye, atol=atol, rtol=0.0)
-        and np.allclose(prod.inf, 0.0, atol=atol, rtol=0.0)
-    ):
-        flags.add(OperatorKind.UNITARY)
-    return frozenset(flags)
+    return frozenset(k for k in OperatorKind if residual(m, k) <= atol)
 
 
 def is_unitary(m: DCMatrix, atol: float = 1e-10) -> bool:
@@ -321,45 +322,60 @@ def mat_exp(a_eps: DCMatrix) -> DCMatrix:
     """exp(A + eps B) = exp(A) + eps L_exp(A, B).
 
     The infinitesimal part is the Frechet derivative of exp at A in
-    direction B, obtained from the block identity
-    exp([[A, B], [0, A]]) = [[e^A, L(A,B)], [0, e^A]] with
+    direction B.  When A is exactly Hermitian or anti-Hermitian, one
+    eigendecomposition A = Q diag(lam) Q^dag gives both parts in closed
+    form (Daleckii-Krein): e^A = Q e^lam Q^dag and
+    L(A, B) = Q (F o Q^dag B Q) Q^dag with the divided differences
+    F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), F_ii = e^lam_i.  Any
+    other A goes through the block identity
+    exp([[A, B], [0, A]]) = [[e^A, L(A,B)], [0, e^A]], with scipy's
     scaling-and-squaring on the block matrix.
     """
     if a_eps.rows != a_eps.cols:
         raise NonSquare("mat_exp needs a square matrix")
-    # Imported here so that `import dcquantum` and `dcq walk`, which never
-    # exponentiate, do not pay for loading scipy.
+    a, b = a_eps.sig, a_eps.inf
+    adj = a.conj().T
+    if np.array_equal(adj, a):
+        lam, q = np.linalg.eigh(a)
+    elif np.array_equal(adj, -a):
+        w, q = np.linalg.eigh(1j * a)  # iA is Hermitian, so lam = -i w
+        lam = -1j * w
+    else:
+        return _mat_exp_block(a, b)
+    e = np.exp(lam)
+    qh = q.conj().T
+    f = _exp_divided_differences(lam, e)
+    return DCMatrix((q * e) @ qh, q @ (f * (qh @ b @ q)) @ qh)
+
+
+def _exp_divided_differences(lam: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), and e^lam_i where
+    the two coincide, as e^hi expm1(lo - hi) / (lo - hi) with hi the one
+    of larger real part: no cancellation, and no overflow while e^hi is
+    finite."""
+    swap = lam.real[:, None] < lam.real[None, :]
+    e_hi = np.where(swap, e[None, :], e[:, None])
+    diff = lam[:, None] - lam[None, :]
+    d = np.where(swap, diff, -diff)  # lo - hi
+    same = d == 0
+    d[same] = 1.0
+    ratio = np.expm1(d) / d
+    ratio[same] = 1.0
+    return e_hi * ratio
+
+
+def _mat_exp_block(a: np.ndarray, b: np.ndarray) -> DCMatrix:
+    # Imported here so that only a generator that is neither Hermitian
+    # nor anti-Hermitian loads scipy.
     import scipy.linalg
 
-    n = a_eps.rows
+    n = a.shape[0]
     block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = a_eps.sig
-    block[:n, n:] = a_eps.inf
-    block[n:, n:] = a_eps.sig
+    block[:n, :n] = a
+    block[:n, n:] = b
+    block[n:, n:] = a
     e = scipy.linalg.expm(block)
     return DCMatrix(e[:n, :n], e[:n, n:])
-
-
-def mat_exp_series(a_eps: DCMatrix, terms: int = 30) -> DCMatrix:
-    """Truncated double-series oracle for mat_exp:
-    sum_m 1/m! (A^m + eps sum_{k<m} A^k B A^(m-1-k))."""
-    n = a_eps.rows
-    a, b = a_eps.sig, a_eps.inf
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(terms):
-        powers.append(powers[-1] @ a)
-    sig = np.zeros((n, n), dtype=complex)
-    inf = np.zeros((n, n), dtype=complex)
-    fact = 1.0
-    for m in range(terms + 1):
-        if m > 0:
-            fact *= m
-        sig += powers[m] / fact
-        acc = np.zeros((n, n), dtype=complex)
-        for k in range(m):
-            acc += powers[k] @ b @ powers[m - 1 - k]
-        inf += acc / fact
-    return DCMatrix(sig, inf)
 
 
 # ---------------------------------------------------------------------------
@@ -367,46 +383,47 @@ def mat_exp_series(a_eps: DCMatrix, terms: int = 30) -> DCMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _cluster(values: np.ndarray, delta: float):
-    """Group indices of a 1-d array into clusters of pairwise distance
-    <= delta (transitively), preserving order."""
-    order = list(range(len(values)))
-    clusters = []
-    for i in order:
-        placed = False
-        for c in clusters:
-            if abs(values[i] - values[c[-1]]) <= delta:
-                c.append(i)
-                placed = True
-                break
-        if not placed:
-            clusters.append([i])
-    return clusters
+def _cluster_ids(values: np.ndarray, delta: float) -> np.ndarray:
+    """Cluster index of each entry of a 1-d array: the transitive closure
+    of |v_i - v_j| <= delta, which does not depend on the input order.
+
+    Real values are sorted and split where consecutive ones lie more
+    than delta apart.  Complex values are unitary eigenvalues: they are
+    sorted by angle, and the first and last clusters merge when the
+    circle closes within delta."""
+    values = np.asarray(values)
+    circle = np.iscomplexobj(values)
+    order = np.argsort(np.angle(values) if circle else values, kind="stable")
+    ranked = values[order]
+    sorted_ids = np.concatenate([[0], np.cumsum(np.abs(np.diff(ranked)) > delta)])
+    if circle and sorted_ids[-1] > 0 and abs(ranked[-1] - ranked[0]) <= delta:
+        sorted_ids[sorted_ids == sorted_ids[-1]] = 0
+    ids = np.empty(len(values), dtype=int)
+    ids[order] = sorted_ids
+    return ids
 
 
 def _diagonalize_in_clusters(p: np.ndarray, values: np.ndarray, j: np.ndarray, delta: float):
     """Within each degenerate cluster of `values`, rotate the columns of p
     so that the projected block of the Hermitian perturbation j becomes
-    diagonal.  Returns the rotated basis and the cluster index list."""
-    clusters = _cluster(values, delta)
+    diagonal.  Returns the rotated basis and the cluster ids."""
+    ids = _cluster_ids(values, delta)
+    labels, counts = np.unique(ids, return_counts=True)
     p = p.copy()
-    for c in clusters:
-        if len(c) == 1:
-            continue
+    for label in labels[counts > 1]:
+        c = np.flatnonzero(ids == label)
         b = p[:, c]
         jb = b.conj().T @ j @ b
         jb = 0.5 * (jb + jb.conj().T)
         _, w = np.linalg.eigh(jb)
         p[:, c] = b @ w
-    return p, clusters
+    return p, ids
 
 
-def _cluster_ids(clusters, n: int) -> np.ndarray:
-    ids = np.empty(n, dtype=int)
-    for ci, c in enumerate(clusters):
-        for i in c:
-            ids[i] = ci
-    return ids
+def _across_clusters(ids: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den between eigenvectors of different clusters, 0 within."""
+    same = ids[:, None] == ids[None, :]
+    return np.where(same, 0.0, num / np.where(same, 1.0, den))
 
 
 def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA,
@@ -422,18 +439,11 @@ def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA,
         raise NotHermitian("eig_hermitian requires a Hermitian dual-complex matrix")
     theta, p = np.linalg.eigh(h_eps.sig)
     j = h_eps.inf
-    p, clusters = _diagonalize_in_clusters(p, theta, j, delta)
-    ids = _cluster_ids(clusters, len(theta))
+    p, ids = _diagonalize_in_clusters(p, theta, j, delta)
     h = p.conj().T @ j @ p
     mu = np.real(np.diag(h))
-
-    n = len(theta)
-    c = np.zeros((n, n), dtype=complex)
-    for jj in range(n):
-        for k in range(n):
-            if ids[k] != ids[jj]:
-                c[k, jj] = -h[k, jj] / (theta[k] - theta[jj])
-    p1 = p @ c
+    # c[k, jj] = -h[k, jj] / (theta[k] - theta[jj])
+    p1 = p @ _across_clusters(ids, -h, theta[:, None] - theta[None, :])
 
     order = np.lexsort((mu, theta))
     values = tuple(DualComplex(theta[i], mu[i]) for i in order)
@@ -467,17 +477,10 @@ def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA,
     """
     u, j = decompose_unitary(u_eps, atol)
     lam, p = _unitary_eigenbasis(u, delta)
-    p, clusters = _diagonalize_in_clusters(p, lam, j, delta)
-    ids = _cluster_ids(clusters, len(lam))
+    p, ids = _diagonalize_in_clusters(p, lam, j, delta)
     h = p.conj().T @ j @ p
-
-    n = len(lam)
-    a = np.zeros((n, n), dtype=complex)  # a[k, jj] = <k0 | j1~>
-    for jj in range(n):
-        for k in range(n):
-            if ids[k] != ids[jj]:
-                a[k, jj] = 1j * lam[jj] * h[k, jj] / (lam[jj] - lam[k])
-    p1 = p @ a
+    # a[k, jj] = <k0 | j1~> = i lam[jj] h[k, jj] / (lam[jj] - lam[k])
+    p1 = p @ _across_clusters(ids, 1j * lam[None, :] * h, lam[None, :] - lam[:, None])
 
     mu = np.real(np.diag(h))
     theta = np.angle(lam)
@@ -566,65 +569,41 @@ def completeness_defect(family) -> float:
     acc = DCMatrix.zeros(d)
     for m in family:
         acc = acc + (m.adjoint() @ m)
-    eye = np.eye(d)
-    return max(
-        float(np.abs(acc.sig - eye).max()),
-        float(np.abs(acc.inf).max()),
-    )
+    return _max_abs(acc.sig - np.eye(d), acc.inf)
 
 
-def _gs_project_out(v: DCVector, basis) -> DCVector:
-    for c in basis:
-        ov = inner(c, v)
-        v = v - c.scale(ov)
-    return v
-
-
-def stinespring(family, atol: float = 1e-9, tau: float = 1e-8) -> DCMatrix:
+def stinespring(family, atol: float = 1e-9) -> DCMatrix:
     """Stinespring dilation of a complete operator family {M_m}.
 
-    Builds the isometry V = sum_m |m><0| x M_m (ancilla-first ordering,
-    so block row m holds M_m and the first d columns stack the M_m) and
-    completes it to a (kd)x(kd) dual-complex unitary by Gram-Schmidt
-    against the standard basis in index order, carrying eps-parts
-    through the orthogonalization.  The completion is deterministic but
-    not canonical; only the first block-column is contractual.
+    Builds the isometry V = V0 + eps V1 = sum_m |m><0| x M_m
+    (ancilla-first ordering, so block row m holds M_m and the first d
+    columns stack the M_m) and completes it to a (kd)x(kd) dual-complex
+    unitary [V, W] in closed form.  W0 holds the complement columns of
+    the complete QR factorization of V0, each multiplied by the phase
+    that makes its first largest-modulus entry real and positive;
+    W1 = -V0 (V1^dag W0), which makes [V, W] unitary to first order.
+    The completion is deterministic but not canonical; only the first
+    block-column is contractual.
     """
     if not family:
         raise IncompleteFamily("empty operator family")
     d = family[0].cols
-    k = len(family)
     for m in family:
         if m.shape != (d, d):
             raise DimMismatch("all operators in the family must be d x d")
     defect = completeness_defect(family)
-    if defect > atol:
+    if not defect <= atol:  # NaN fails too
         raise IncompleteFamily(
             f"sum M^dag M deviates from I by {defect:.3e} (atol {atol:.1e})"
         )
 
-    cols = []
-    for s in range(d):
-        sig = np.concatenate([m.sig[:, s] for m in family])
-        inf = np.concatenate([m.inf[:, s] for m in family])
-        cols.append(DCVector(sig, inf))
-
-    n = k * d
-    for idx in range(n):
-        if len(cols) == n:
-            break
-        v = _gs_project_out(DCVector.basis(n, idx), cols)
-        v = _gs_project_out(v, cols)  # second pass for numerical stability
-        nv = float(np.linalg.norm(v.sig))
-        if nv <= tau:
-            continue  # candidate lies in the span already
-        cols.append(divide_vector(v, vnorm(v)))
-    if len(cols) < n:
-        raise NotUnitary("Gram-Schmidt completion failed to span the space")
-
-    sig = np.column_stack([c.sig for c in cols])
-    inf = np.column_stack([c.inf for c in cols])
-    return DCMatrix(sig, inf)
+    v0 = np.concatenate([m.sig for m in family])
+    v1 = np.concatenate([m.inf for m in family])
+    w0 = np.linalg.qr(v0, mode="complete")[0][:, d:]
+    lead = w0[np.abs(w0).argmax(axis=0), np.arange(w0.shape[1])]
+    w0 = w0 * (lead.conj() / np.abs(lead))
+    w1 = -v0 @ (v1.conj().T @ w0)
+    return DCMatrix(np.hstack([v0, w0]), np.hstack([v1, w1]))
 
 
 def dilation_block(u_eps: DCMatrix, m: int, d: int) -> DCMatrix:

@@ -74,7 +74,7 @@ class Measurement:
         if len(labels) != len(ops):
             raise DimMismatch("one label per measurement operator")
         defect = completeness_defect(ops)
-        if defect > STATE_NORM_ATOL:
+        if not defect <= STATE_NORM_ATOL:  # NaN fails too
             raise IncompleteMeasurement(
                 f"sum M^dag M deviates from I by {defect:.3e}"
             )
@@ -201,11 +201,10 @@ def dc_extend_unitary(p: ParamUnitary, step: float = FD_STEP,
 def complex_correct_unitary(u_eps: DCMatrix, h: float,
                             atol: float = 1e-8) -> np.ndarray:
     """exp(ihH) U: the conventional unitary agreeing with U_eps|_(eps=h)
-    up to O(h^2)."""
-    import scipy.linalg  # imported on first use, as in linalg.mat_exp
-
+    up to O(h^2), from the eigendecomposition of the Hermitian H."""
     u, herm = decompose_unitary(u_eps, atol)
-    return scipy.linalg.expm(1j * h * herm) @ u
+    w, q = np.linalg.eigh(herm)
+    return (q * np.exp(1j * h * w)) @ q.conj().T @ u
 
 
 def dc_extend_measurement(
@@ -235,8 +234,8 @@ def complex_correct_measurement(
     Stinespring dilation: M~_m = (<m| x I) exp(ihH) U (|0> x I).
 
     The result depends on the dilation gauge; by default the
-    deterministic Gram-Schmidt completion from `stinespring` is used,
-    and a caller holding a specific completion may pass it in.  Block
+    deterministic QR completion from `stinespring` is used, and a
+    caller holding a specific completion may pass it in.  Block
     extraction and completeness hold for every valid dilation.
     """
     if dilation is None:

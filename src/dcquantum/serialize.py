@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import repeat
+import sys
+from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import DCError, DimMismatch, MalformedTrajectory
+from .errors import DimMismatch, MalformedInput, MalformedTrajectory
 from .linalg import DCMatrix, DCVector
 from .quantum import Measurement, QuantumState
 from .scalar import DualComplex
@@ -34,35 +35,81 @@ def scalar_from_json(data) -> DualComplex:
 
 
 def matrix_to_json(m: DCMatrix) -> dict:
-    entries = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            entries.append(scalar_to_json(m[i, j]))
+    # the float view of each (sig, inf) pair is scalar_to_json's layout
+    entries = np.stack([m.sig, m.inf], axis=-1).view(float).reshape(-1, 4).tolist()
     return {"rows": m.rows, "cols": m.cols, "entries": entries}
 
 
-def matrix_from_json(data) -> DCMatrix:
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = data["entries"]
+def require(data, key: str, where: str = ""):
+    """data[key] of a decoded JSON object; a missing key, or a value
+    that is not an object, raises MalformedInput naming `where`."""
+    prefix = f"{where}: " if where else ""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{prefix}expected an object, got {type(data).__name__}")
+    if key not in data:
+        raise MalformedInput(f"{prefix}missing key {key!r}")
+    return data[key]
+
+
+def _dimension(data, key: str, where: str) -> int:
+    n = require(data, key, where)
+    if type(n) is not int or n < 1:
+        raise MalformedInput(f"{where}.{key}: expected a positive integer, got {n!r}")
+    return n
+
+
+def _bad_entry(entries, where: str) -> MalformedInput:
+    """The error for the first entry that is not four numbers, found by
+    a scan that only runs once the array conversion has failed."""
+    for i, e in enumerate(entries):
+        if type(e) is not list or len(e) != 4:
+            return MalformedInput(
+                f"{where}.entries[{i}]: a scalar is a list of four numbers, got {e!r}")
+        for v in e:
+            if type(v) not in (int, float):
+                return MalformedInput(f"{where}.entries[{i}]: {v!r} is not a number")
+            if type(v) is int and abs(v) > sys.float_info.max:
+                return MalformedInput(f"{where}.entries[{i}]: {v} overflows a float")
+    return MalformedInput(f"{where}.entries: expected lists of four numbers")
+
+
+def matrix_from_json(data, where: str = "matrix") -> DCMatrix:
+    """Decode {"rows", "cols", "entries"}; every float round-trips
+    bit-exactly.  `where` names the object in error messages."""
+    rows, cols = _dimension(data, "rows", where), _dimension(data, "cols", where)
+    entries = require(data, "entries", where)
+    if type(entries) is not list:
+        raise MalformedInput(f"{where}.entries: expected a list, got {entries!r}")
     if len(entries) != rows * cols:
-        raise DimMismatch(f"expected {rows * cols} entries, got {len(entries)}")
-    sig = np.empty((rows, cols), dtype=complex)
-    inf = np.empty((rows, cols), dtype=complex)
-    for idx, e in enumerate(entries):
-        w = scalar_from_json(e)
-        sig[idx // cols, idx % cols] = w.sig
-        inf[idx // cols, idx % cols] = w.inf
-    return DCMatrix(sig, inf)
+        raise DimMismatch(f"{where}: expected {rows * cols} entries, got {len(entries)}")
+    # Only ints and floats may be converted: numpy would read "1.0" or
+    # True as a number.  The type scan runs at C speed.
+    try:
+        if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
+            raise TypeError
+        e = np.array(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise _bad_entry(entries, where) from None
+    if e.shape != (rows * cols, 4):
+        raise _bad_entry(entries, where)
+    finite = np.isfinite(e).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise MalformedInput(f"{where}.entries[{i}]: {entries[i]!r} is not finite")
+    # Each (re, im) pair read as one complex number keeps every bit (signed
+    # zeros included), which a + 1j*b would not.
+    sig, inf = e.view(complex).T
+    return DCMatrix(sig.reshape(rows, cols), inf.reshape(rows, cols))
 
 
 def vector_to_json(v: DCVector) -> dict:
     return matrix_to_json(DCMatrix(v.sig.reshape(-1, 1), v.inf.reshape(-1, 1)))
 
 
-def vector_from_json(data) -> DCVector:
-    m = matrix_from_json(data)
+def vector_from_json(data, where: str = "matrix") -> DCVector:
+    m = matrix_from_json(data, where)
     if m.cols != 1:
-        raise DimMismatch("vector encoding must have cols == 1")
+        raise DimMismatch(f"{where}: vector encoding must have cols == 1")
     return DCVector(m.sig[:, 0], m.inf[:, 0])
 
 
@@ -86,15 +133,18 @@ def measurement_to_json(m: Measurement) -> dict:
 
 
 def tagged_from_json(data):
-    kind = data.get("kind")
+    kind = require(data, "kind")
     if kind == "unitary":
-        return matrix_from_json(data["matrix"])
+        return matrix_from_json(require(data, "matrix"))
     if kind == "state":
-        return QuantumState(vector_from_json(data["matrix"]))
+        return QuantumState(vector_from_json(require(data, "matrix")))
     if kind == "measurement":
-        ops = tuple(matrix_from_json(op) for op in data["operators"])
-        return Measurement(ops, tuple(data["labels"]))
-    raise DCError(f"unknown or missing kind tag: {kind!r}")
+        ops, labels = require(data, "operators"), require(data, "labels")
+        if type(ops) is not list or not ops or type(labels) is not list:
+            raise MalformedInput("operators and labels must be lists, operators non-empty")
+        return Measurement(tuple(matrix_from_json(op, f"operators[{i}]")
+                                 for i, op in enumerate(ops)), tuple(labels))
+    raise MalformedInput(f"unknown kind tag: {kind!r}")
 
 
 def load_tagged(path: str):
@@ -143,36 +193,37 @@ def write_trajectory_csv(snapshots, path: str) -> None:
 def read_trajectory_csv(path: str) -> list:
     """Read back a trajectory as a list of WalkState snapshots.
 
-    Every snapshot must hold the rows x_index = 0 .. sites-1 once each,
-    with the same number of sites as the first snapshot."""
+    The header must name every column of TRAJECTORY_COLUMNS, every field
+    must parse as its number, and every snapshot must hold the rows
+    x_index = 0 .. sites-1 once each, with the same number of sites as
+    the first snapshot."""
     by_step: dict = {}
     with open(path) as f:
         reader = csv.DictReader(f)
+        missing = [c for c in TRAJECTORY_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise MalformedTrajectory(f"header lacks column {missing[0]!r}")
         for row in reader:
-            t = int(row["t_step"])
-            by_step.setdefault(t, []).append(row)
+            try:
+                t, x = int(row["t_step"]), int(row["x_index"])
+                values = [float(row[c]) for c in TRAJECTORY_COLUMNS[2:]]
+            except (TypeError, ValueError) as e:
+                raise MalformedTrajectory(f"line {reader.line_num}: {e}") from None
+            by_step.setdefault(t, []).append((x, values))
     snaps = []
     for t in sorted(by_step):
-        rows = sorted(by_step[t], key=lambda r: int(r["x_index"]))
+        rows = sorted(by_step[t], key=lambda r: r[0])
         n = len(rows)
         if snaps and n != snaps[0].sites:
             raise MalformedTrajectory(
                 f"t_step {t}: {n} rows, but t_step {snaps[0].time} has {snaps[0].sites}")
-        for x, r in enumerate(rows):
-            k = int(r["x_index"])
+        for x, (k, _) in enumerate(rows):
             if k > x:
                 raise MalformedTrajectory(f"t_step {t}: missing x_index {x}")
             if k < x:
                 what = "duplicate" if k >= 0 else "negative"
                 raise MalformedTrajectory(f"t_step {t}: {what} x_index {k}")
-        ps = np.empty(n, dtype=complex)
-        pi = np.empty(n, dtype=complex)
-        ms = np.empty(n, dtype=complex)
-        mi = np.empty(n, dtype=complex)
-        for i, r in enumerate(rows):
-            ps[i] = complex(float(r["psiplus_re_sig"]), float(r["psiplus_im_sig"]))
-            pi[i] = complex(float(r["psiplus_re_inf"]), float(r["psiplus_im_inf"]))
-            ms[i] = complex(float(r["psiminus_re_sig"]), float(r["psiminus_im_sig"]))
-            mi[i] = complex(float(r["psiminus_re_inf"]), float(r["psiminus_im_inf"]))
+        # each (re, im) column pair read as one complex column, bit for bit
+        ps, pi, ms, mi = np.array([r[1] for r in rows], dtype=float).reshape(n, 8).view(complex).T
         snaps.append(WalkState(DCVector(ps, pi), DCVector(ms, mi), time=t))
     return snaps

@@ -36,6 +36,28 @@ def random_dc_hermitian(dim, rng):
     )
 
 
+def mat_exp_series(a_eps: DCMatrix, terms: int = 30) -> DCMatrix:
+    """Truncated double-series oracle for mat_exp:
+    sum_m 1/m! (A^m + eps sum_{k<m} A^k B A^(m-1-k))."""
+    n = a_eps.rows
+    a, b = a_eps.sig, a_eps.inf
+    powers = [np.eye(n, dtype=complex)]
+    for _ in range(terms):
+        powers.append(powers[-1] @ a)
+    sig = np.zeros((n, n), dtype=complex)
+    inf = np.zeros((n, n), dtype=complex)
+    fact = 1.0
+    for m in range(terms + 1):
+        if m > 0:
+            fact *= m
+        sig += powers[m] / fact
+        acc = np.zeros((n, n), dtype=complex)
+        for k in range(m):
+            acc += powers[k] @ b @ powers[m - 1 - k]
+        inf += acc / fact
+    return DCMatrix(sig, inf)
+
+
 def random_dc_vector(dim, rng):
     return DCVector(
         rng.standard_normal(dim) + 1j * rng.standard_normal(dim),

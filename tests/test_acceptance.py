@@ -8,6 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from conftest import (
+    mat_exp_series,
     random_complex_hermitian,
     random_dc_unitary,
     random_dc_vector,
@@ -22,7 +23,6 @@ from dcquantum.linalg import (
     inner,
     log_unitary,
     mat_exp,
-    mat_exp_series,
 )
 from dcquantum.quantum import (
     Measurement,

@@ -13,8 +13,8 @@ import scipy.linalg
 import dcquantum
 from dcquantum import serialize
 from dcquantum.cli import main
-from dcquantum.linalg import DCMatrix, dilation_block
-from dcquantum.quantum import Measurement
+from dcquantum.linalg import DCMatrix, DCVector, dilation_block
+from dcquantum.quantum import Measurement, QuantumState, normalize
 from dcquantum.walk import dirac_gate
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -119,6 +119,76 @@ class TestCheckCommand:
         assert "line 1" in capsys.readouterr().err
 
 
+def _write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestMalformedInput:
+    """JSON matrices outside the documented format are usage errors: exit 2
+    and a message naming the file and the offending key or entry, never a
+    traceback."""
+
+    @pytest.mark.parametrize("edit, located", [
+        (lambda d: d.pop("matrix"), "missing key 'matrix'"),
+        (lambda d: d["matrix"].pop("rows"), "matrix: missing key 'rows'"),
+        (lambda d: d["matrix"].pop("cols"), "matrix: missing key 'cols'"),
+        (lambda d: d["matrix"].pop("entries"), "matrix: missing key 'entries'"),
+        (lambda d: d["matrix"]["entries"][1].pop(), "matrix.entries[1]"),
+        (lambda d: d["matrix"]["entries"][2].append(0.0), "matrix.entries[2]"),
+        (lambda d: d["matrix"]["entries"][3].__setitem__(0, "1.0"), "matrix.entries[3]"),
+        (lambda d: d["matrix"]["entries"][0].__setitem__(1, True), "matrix.entries[0]"),
+        (lambda d: d["matrix"]["entries"][2].__setitem__(2, float("nan")),
+         "matrix.entries[2]"),
+        (lambda d: d["matrix"]["entries"][1].__setitem__(3, float("-inf")),
+         "matrix.entries[1]"),
+    ], ids=["no-matrix", "no-rows", "no-cols", "no-entries", "3-floats", "5-floats",
+            "string", "bool", "nan", "inf"])
+    def test_check_exits_2_with_location(self, tmp_path, capsys, edit, located):
+        doc = serialize.unitary_to_json(dirac_gate(0.7))
+        edit(doc)
+        path = _write_doc(tmp_path / "bad.json", doc)
+        assert main(["check", "unitary", "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: {located}" in captured.err
+        assert captured.out == ""
+
+    def test_translate_names_the_operator(self, tmp_path, capsys):
+        meas = Measurement((DCMatrix(np.diag([1.0, 0.0])), DCMatrix(np.diag([0.0, 1.0]))))
+        doc = serialize.measurement_to_json(meas)
+        doc["operators"][1]["entries"][2][0] = None
+        path = _write_doc(tmp_path / "m.json", doc)
+        rc = main(["translate", "--correct", "--h", "0.1", "--in", path,
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert f"{path}: operators[1].entries[2]" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_nan_is_not_reported_as_a_residual(self, tmp_path, capsys):
+        doc = serialize.unitary_to_json(DCMatrix(np.eye(2)))
+        doc["matrix"]["entries"][0][0] = float("nan")
+        path = _write_doc(tmp_path / "nan.json", doc)
+        assert main(["check", "spectrum", "--in", path]) == 2
+        assert "NaN" not in capsys.readouterr().out
+
+    def test_unitary_check_on_state_is_an_isometry_check(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        state = normalize(DCVector(np.array([0.6, 0.8j]), np.array([0.0, 1.0])))
+        serialize.dump_json(serialize.state_to_json(state), str(path))
+        assert main(["check", "unitary", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["worst_residual"] < 1e-15
+
+    def test_unitary_check_on_state_keeps_eps_part(self, tmp_path, capsys):
+        # Re<sig|inf> = 4e-10 is inside the state tolerance, and
+        # psi^dag psi = 1 + 8e-10 eps: only the eps-part can fail --rtol 1e-10
+        doc = serialize.state_to_json(
+            QuantumState(DCVector(np.array([1.0, 0.0]), np.array([4e-10, 1.0]))))
+        path = _write_doc(tmp_path / "s.json", doc)
+        assert main(["--rtol", "1e-10", "check", "unitary", "--in", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["worst_residual"] == pytest.approx(8e-10, rel=1e-6)
+
+
 class TestTranslateCommand:
     def test_extend_unitary_family(self, tmp_path, capsys):
         step = 1e-6
@@ -167,6 +237,24 @@ class TestTranslateCommand:
         back = serialize.load_tagged(str(dst))  # Measurement ctor re-validates
         assert isinstance(back, Measurement) and len(back.operators) == 2
 
+    @pytest.mark.parametrize("edit, located", [
+        (lambda f: f.pop("at_plus"), "missing key 'at_plus'"),
+        (lambda f: f["at_minus"].clear(), "at_minus: expected a non-empty list"),
+        (lambda f: f["at_zero"][0]["entries"][0].__setitem__(0, "x"), "at_zero[0].entries[0]"),
+        (lambda f: f.__setitem__("step", "small"), "step: expected a positive number"),
+    ])
+    def test_extend_rejects_malformed_family(self, tmp_path, capsys, edit, located):
+        def eye():
+            return serialize.matrix_to_json(DCMatrix(np.eye(2)))
+
+        fam = {"kind": "family", "step": 1e-6,
+               "at_minus": [eye()], "at_zero": [eye()], "at_plus": [eye()]}
+        edit(fam)
+        src = _write_doc(tmp_path / "fam.json", fam)
+        rc = main(["translate", "--extend", "--in", src, "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert f"error: {src}: {located}" in capsys.readouterr().err
+
     def test_extend_rejects_non_family(self, tmp_path, capsys):
         src = write_unitary(tmp_path / "g.json", dirac_gate(1.0))
         rc = main(["translate", "--extend", "--in", src,
@@ -199,8 +287,10 @@ def test_console_script_help():
 
 
 def test_import_and_walk_leave_scipy_unloaded(tmp_path):
-    """scipy.linalg loads on the first exponential, never for `import
-    dcquantum`, `import dcquantum.cli` or `dcq walk`."""
+    """scipy.linalg loads only for mat_exp of a generator that is neither
+    Hermitian nor anti-Hermitian: never for `import dcquantum`, `import
+    dcquantum.cli`, `dcq walk`, the complex correction or a Schrodinger
+    step."""
     code = textwrap.dedent(f"""
         import sys
         import numpy as np
@@ -211,12 +301,19 @@ def test_import_and_walk_leave_scipy_unloaded(tmp_path):
                                  "--steps", "3", "--out", {str(tmp_path / "w.csv")!r}])
         assert rc == 0 and "scipy.linalg" not in sys.modules, "walk"
 
-        from dcquantum import DCMatrix, complex_correct_unitary, mat_exp
+        from dcquantum import (DCMatrix, DCVector, QuantumState, complex_correct_unitary,
+                               mat_exp, schrodinger_step)
         from dcquantum.walk import corrected_gate, dirac_gate
         e = mat_exp(DCMatrix(np.zeros((2, 2)), np.eye(2)))
         assert np.allclose(e.sig, np.eye(2)) and np.allclose(e.inf, np.eye(2))
         u = complex_correct_unitary(dirac_gate(0.5), 0.1)
         assert np.allclose(u, corrected_gate(0.5, 0.1), atol=1e-12)
+        s = QuantumState(DCVector(np.array([1.0, 0.0])))
+        s = schrodinger_step(s, DCMatrix(np.array([[0, 1], [1, 0]]), np.eye(2)), 0.1)
+        assert "scipy.linalg" not in sys.modules, "closed forms"
+
+        e = mat_exp(DCMatrix(np.array([[0, 1], [0, 0]]), np.eye(2)))
+        assert np.allclose(e.sig, [[1, 1], [0, 1]]) and np.allclose(e.inf, [[1, 1], [0, 1]])
         assert "scipy.linalg" in sys.modules
     """)
     src = os.path.dirname(os.path.dirname(dcquantum.__file__))

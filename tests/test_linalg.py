@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import random_dc_unitary, random_dc_vector
+from conftest import (
+    mat_exp_series,
+    random_complex_hermitian,
+    random_dc_unitary,
+    random_dc_vector,
+)
 from dcquantum.errors import DimMismatch, ModulusOfInfinitesimal, NonSquare
 from dcquantum.linalg import (
     DCMatrix,
@@ -12,7 +18,7 @@ from dcquantum.linalg import (
     divide_vector,
     inner,
     mat_exp,
-    mat_exp_series,
+    residual,
     vnorm,
 )
 from dcquantum.scalar import DualComplex
@@ -130,6 +136,59 @@ class TestMatExp:
             e_series = mat_exp_series(m, terms=30)
             assert np.abs(e_block.sig - e_series.sig).max() < 1e-8
             assert np.abs(e_block.inf - e_series.inf).max() < 1e-8
+
+
+class TestMatExpClosedForm:
+    """Hermitian and anti-Hermitian generators take one eigendecomposition;
+    they must agree with the block expm, degenerate spectra included."""
+
+    @staticmethod
+    def block_expm(m):
+        n = m.rows
+        e = scipy.linalg.expm(np.block([[m.sig, m.inf], [np.zeros((n, n)), m.sig]]))
+        return e[:n, :n], e[:n, n:]
+
+    @pytest.mark.parametrize("n", [2, 5, 24])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_matches_block_expm(self, rng, n, degenerate, anti):
+        h = random_complex_hermitian(n, rng, scale=1.0 / np.sqrt(n))
+        if degenerate:  # eigenvalues -1 and 2, each repeated
+            q = np.linalg.eigh(h)[1]
+            h = (q * np.where(np.arange(n) % 2, -1.0, 2.0)) @ q.conj().T
+            h = 0.5 * (h + h.conj().T)
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # scaled as schrodinger_step scales H: the result is exactly anti-Hermitian
+        m = DCMatrix(h, b).scale(-1j * 0.7) if anti else DCMatrix(h, b)
+        assert np.array_equal(m.sig.conj().T, -m.sig if anti else m.sig)
+        e = mat_exp(m)
+        sig, inf = self.block_expm(m)
+        assert np.abs(e.sig - sig).max() < 1e-13
+        assert np.abs(e.inf - inf).max() < 1e-12 * max(1.0, np.abs(inf).max())
+
+    def test_wide_spectrum_does_not_overflow(self):
+        # F_12 = (e^700 - e^-100) / 800 is finite though e^800 is not
+        e = mat_exp(DCMatrix(np.diag([700.0, -100.0]), SX))
+        assert np.isfinite(e.inf).all()
+        assert e.inf[0, 1] == pytest.approx((np.exp(700.0) - np.exp(-100.0)) / 800.0,
+                                            rel=1e-13)
+
+    def test_coincident_eigenvalues_give_the_exponential(self):
+        e = mat_exp(DCMatrix(0.3j * np.eye(3), np.arange(9.0).reshape(3, 3)))
+        assert np.abs(e.inf - np.exp(0.3j) * np.arange(9.0).reshape(3, 3)).max() < 1e-14
+
+
+def test_residual_per_kind():
+    m = DCMatrix(np.array([[0, 1], [-1, 0.5j]]), np.array([[0, 0], [0, 1e-3]]))
+    assert residual(m, OperatorKind.ANTI_HERMITIAN) == pytest.approx(2e-3)  # |M^dag + M|
+    assert residual(m, OperatorKind.HERMITIAN) == pytest.approx(2.0)
+    state = DCMatrix(np.array([[0.6], [0.8j]]), np.array([[0.0], [1.0]]))
+    assert residual(state, OperatorKind.UNITARY) < 1e-15  # an isometry check
+    with pytest.raises(NonSquare):
+        residual(state, OperatorKind.HERMITIAN)
+    nan = DCMatrix(np.eye(2), np.array([[np.nan, 0], [0, 0]]))
+    assert np.isnan(residual(nan, OperatorKind.UNITARY))
+    assert classify_op(nan) == frozenset()
 
 
 def test_unitary_preserves_dual_norm(rng):

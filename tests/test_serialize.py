@@ -2,12 +2,15 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dc_unitary, random_dc_vector
-from dcquantum.errors import DCError, DimMismatch, MalformedTrajectory
+from dcquantum.errors import DCError, DimMismatch, MalformedInput, MalformedTrajectory
 from dcquantum.linalg import DCMatrix, DCVector
 from dcquantum.quantum import Measurement, QuantumState, measurement_from_complex, normalize
 from dcquantum.scalar import DualComplex
@@ -66,6 +69,27 @@ class TestMatrixVector:
         back = vector_from_json(json.loads(json.dumps(vector_to_json(v))))
         assert np.array_equal(back.sig, v.sig) and np.array_equal(back.inf, v.inf)
 
+    def test_round_trip_keeps_signed_zeros_and_extremes(self):
+        vals = [-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, 0.1, -1 / 3]
+        entries = [[a, b, c, d] for a, b, c, d in zip(vals, vals[1:] + vals[:1],
+                                                        vals[2:] + vals[:2], vals[3:] + vals[:3])]
+        m = matrix_from_json(json.loads(json.dumps({"rows": 2, "cols": 3, "entries": entries})))
+        got = np.stack([m.sig.real, m.sig.imag, m.inf.real, m.inf.imag], axis=-1).reshape(6, 4)
+        want = np.array(entries)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_writer_matches_per_entry_scalars(self):
+        special = np.array([complex(-0.0, 5e-324), complex(1 / 3, -0.0),
+                            complex(2.5e-310, -1e300), complex(0.1, 7.0)])
+        m = DCMatrix(special.reshape(2, 2), 1j * special[::-1].reshape(2, 2))
+        want = [scalar_to_json(m[i, j]) for i in range(2) for j in range(2)]
+        assert json.dumps(matrix_to_json(m)["entries"]) == json.dumps(want)
+
+    def test_integer_entries_are_numbers(self):
+        m = matrix_from_json({"rows": 1, "cols": 1, "entries": [[1, -2, 0, 3]]})
+        assert m.sig[0, 0] == 1 - 2j and m.inf[0, 0] == 3j
+
     def test_vector_requires_single_column(self):
         with pytest.raises(DimMismatch):
             vector_from_json(matrix_to_json(DCMatrix.identity(2)))
@@ -102,6 +126,53 @@ class TestTagged:
     def test_unknown_kind(self):
         with pytest.raises(DCError):
             tagged_from_json({"kind": "mystery"})
+
+
+BAD_VALUES = ["1.0", True, False, None, [1.0], {"re": 1.0}, float("nan"),
+              float("inf"), -float("inf"), 10**400]
+
+
+class TestMatrixRejectsMalformed:
+    @given(rows=st.integers(1, 3), cols=st.integers(1, 3), data=st.data(),
+           bad=st.sampled_from(BAD_VALUES))
+    @settings(max_examples=60, deadline=None)
+    def test_any_bad_value_names_its_entry(self, rows, cols, data, bad):
+        entries = [[0.5, -0.0, 1, 2.0] for _ in range(rows * cols)]
+        i = data.draw(st.integers(0, rows * cols - 1))
+        entries[i][data.draw(st.integers(0, 3))] = bad
+        with pytest.raises(MalformedInput, match=rf"^m\.entries\[{i}\]: "):
+            matrix_from_json({"rows": rows, "cols": cols, "entries": entries}, "m")
+
+    @pytest.mark.parametrize("entry", [[1.0, 2.0], [1.0] * 5, [], 3.0, "abcd"])
+    def test_scalar_must_be_four_numbers(self, entry):
+        entries = [[0.0] * 4, entry]
+        with pytest.raises(MalformedInput, match=r"^matrix\.entries\[1\]: a scalar is"):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": entries})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"cols": 1, "entries": [[0] * 4]}, "matrix: missing key 'rows'"),
+        ({"rows": 1, "entries": [[0] * 4]}, "matrix: missing key 'cols'"),
+        ({"rows": 1, "cols": 1}, "matrix: missing key 'entries'"),
+        ({"rows": 0, "cols": 1, "entries": []}, "matrix.rows: expected a positive integer"),
+        ({"rows": 1.0, "cols": 1, "entries": [[0] * 4]}, "matrix.rows: expected a positive"),
+        ({"rows": 1, "cols": 1, "entries": {"0": [0] * 4}}, "matrix.entries: expected a list"),
+        ([1, 2], "matrix: expected an object, got list"),
+    ])
+    def test_structure(self, data, message):
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}"):
+            matrix_from_json(data)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"matrix": {}}, "missing key 'kind'"),
+        ({"kind": "unitary"}, "missing key 'matrix'"),
+        ({"kind": "measurement", "labels": []}, "missing key 'operators'"),
+        ({"kind": "measurement", "operators": [], "labels": []}, "operators and labels"),
+        ({"kind": "mystery"}, "unknown kind tag: 'mystery'"),
+        ([], "expected an object, got list"),
+    ])
+    def test_tagged_structure(self, doc, message):
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}"):
+            tagged_from_json(doc)
 
 
 class TestTrajectory:
@@ -176,3 +247,20 @@ class TestTrajectoryRejectsMalformed:
         with pytest.raises(MalformedTrajectory, match=message) as info:
             read_trajectory_csv(str(path))
         assert isinstance(info.value, DCError)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:3] + [lines[3].replace(",0.0,", ",zero,", 1)] + lines[4:],
+         "line 4: could not convert string to float: 'zero'"),
+        (lambda lines: lines[:2] + [lines[2].replace("0,1,", "0.5,1,", 1)] + lines[3:],
+         "line 3: invalid literal for int"),
+        (lambda lines: lines[:5] + [lines[5].rsplit(",", 2)[0] + "\r\n"] + lines[6:],
+         "line 6: "),
+        (lambda lines: [lines[0].replace("psiplus_re_sig", "psiplus_re")] + lines[1:],
+         "header lacks column 'psiplus_re_sig'"),
+        (lambda lines: [], "header lacks column 't_step'"),
+    ])
+    def test_bad_fields_name_the_line(self, tmp_path, edit, message):
+        path, lines = _trajectory_lines(tmp_path)
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(MalformedTrajectory, match=re.escape(message)):
+            read_trajectory_csv(str(path))

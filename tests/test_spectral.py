@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dc_hermitian, random_dc_unitary
 from dcquantum.errors import IncompleteFamily, NotHermitian, NotUnitary
 from dcquantum.linalg import (
+    _cluster_ids,
     DCMatrix,
     DCVector,
     OperatorKind,
@@ -228,3 +231,52 @@ class TestStinespring:
         bad = [DCMatrix(fam[0].sig * 1.01, fam[0].inf), fam[1]]
         with pytest.raises(IncompleteFamily):
             stinespring(bad)
+
+
+class TestStinespringClosedForm:
+    def test_unitary_to_first_order_at_kd_128(self, rng):
+        big = random_dc_unitary(128, rng)
+        fam = [dilation_block(big, m, 64) for m in range(2)]
+        u = stinespring(fam)
+        prod = u.adjoint() @ u
+        assert np.abs(prod.sig - np.eye(128)).max() < 1e-12
+        assert np.abs(prod.inf).max() < 1e-12
+        v0 = np.concatenate([m.sig for m in fam])
+        v1 = np.concatenate([m.inf for m in fam])
+        assert np.array_equal(u.sig[:, :64], v0) and np.array_equal(u.inf[:, :64], v1)
+
+    def test_completion_gauge(self, rng):
+        big = random_dc_unitary(6, rng)
+        u = stinespring([dilation_block(big, m, 2) for m in range(3)])
+        w0, w1 = u.sig[:, 2:], u.inf[:, 2:]
+        lead = w0[np.abs(w0).argmax(axis=0), np.arange(4)]
+        assert np.abs(lead.imag).max() < 1e-15 and np.all(lead.real > 0)
+        assert np.abs(w1 + u.sig[:, :2] @ (u.inf[:, :2].conj().T @ w0)).max() < 1e-15
+
+
+class TestClusterIds:
+    @staticmethod
+    def partition(values, delta):
+        ids = _cluster_ids(np.asarray(values), delta)
+        return {frozenset(np.flatnonzero(ids == c)) for c in set(ids.tolist())}
+
+    def test_chain_is_one_cluster_in_any_order(self):
+        assert self.partition([0, 1.5e-8, 0.8e-8], 1e-8) == {frozenset({0, 1, 2})}
+
+    def test_unit_circle_wraps_around(self):
+        lam = np.exp(1j * np.array([np.pi - 3e-9, 0.5, -np.pi + 3e-9, -np.pi + 1.1e-8]))
+        assert self.partition(lam, 1e-8) == {frozenset({0, 2, 3}), frozenset({1})}
+
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=12), st.randoms(),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_membership_does_not_depend_on_order(self, grid, random, circle):
+        # grid steps of 0.6 delta: chains, ties and gaps all occur
+        values = np.array(grid) * 0.6e-8
+        if circle:
+            values = np.exp(1j * (np.pi + values))  # clusters straddle the -pi cut
+        perm = list(range(len(values)))
+        random.shuffle(perm)
+        want = self.partition(values, 1e-8)
+        got = {frozenset(perm[i] for i in c) for c in self.partition(values[perm], 1e-8)}
+        assert got == want
