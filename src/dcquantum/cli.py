@@ -7,10 +7,10 @@ Exit codes: 0 pass, 1 check failed, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .quantum import (
     Measurement,
     complex_correct_measurement,
     complex_correct_unitary,
+    dc_extend_measurement,
     dc_extend_unitary,
     ParamUnitary,
 )
@@ -43,6 +44,15 @@ from .walk import (
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
+
+
+class _UsageError(Exception):
+    """A command-line argument out of range; main exits 2 with its message."""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _UsageError(message)
 
 
 def _load_json(path: str):
@@ -70,18 +80,10 @@ def _write_report(report: dict, path):
 
 
 def cmd_walk(args) -> int:
-    if args.sites < 2:
-        print("error: --sites must be >= 2", file=sys.stderr)
-        return USAGE
-    if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
-        return USAGE
-    if args.record_every < 1:
-        print("error: --record-every must be >= 1", file=sys.stderr)
-        return USAGE
-    if not math.isfinite(args.mass):
-        print("error: --mass must be finite", file=sys.stderr)
-        return USAGE
+    _require(args.sites >= 2, "--sites must be >= 2")
+    _require(args.steps >= 0, "--steps must be >= 0")
+    _require(args.record_every >= 1, "--record-every must be >= 1")
+    _require(math.isfinite(args.mass), "--mass must be finite")
     w = point_source(args.sites)
     snaps = run(w, args.mass, args.steps, record_every=args.record_every)
     serialize.write_trajectory_csv(snaps, args.out)
@@ -110,25 +112,19 @@ def _check_spectrum(m: DCMatrix, atol: float, delta: float):
 def cmd_check(args) -> int:
     delta = args.delta
     if args.what == "covariance":
+        _require(args.trials >= 1, "--trials must be >= 1")
+        _require(args.alpha >= 1, "--alpha must be >= 1")
+        _require(args.beta >= 1, "--beta must be >= 1")
         patch = lorentz_encodings(args.alpha, args.beta, args.mass)
+        mode = "dual_exact" if args.mode == "dual" else "corrected"
         rng = np.random.default_rng(args.seed)
-        worst = None
+        reports = []
         for _ in range(args.trials):
             amp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             amp /= np.linalg.norm(amp)
-            mode = "dual_exact" if args.mode == "dual" else "corrected"
-            rep = covariance_check(patch, (amp[0], amp[1]), mode=mode, h=args.h)
-            if worst is None or rep.max_discrepancy > worst.max_discrepancy:
-                worst = rep
-        report = {
-            "check": "covariance",
-            "mode": worst.mode,
-            "alpha": worst.alpha,
-            "beta": worst.beta,
-            "max_discrepancy": worst.max_discrepancy,
-            "fitted_order": worst.fitted_order,
-            "pass": worst.passed,
-        }
+            reports.append(covariance_check(patch, (amp[0], amp[1]), mode=mode, h=args.h))
+        worst = max(reports, key=lambda r: r.max_discrepancy)  # the first of equals
+        report = {"check": "covariance", **dataclasses.asdict(worst), "pass": worst.passed}
         _write_report(report, args.out)
         return PASS if worst.passed else FAIL
 
@@ -175,20 +171,17 @@ def _extend_from_family(data, step_default: float):
         mats = serialize.require(data, key)
         if type(mats) is not list or not mats:
             raise MalformedInput(f"{key}: expected a non-empty list of matrices")
-        sampled.append([serialize.matrix_from_json(m, f"{key}[{i}]")
+        sampled.append([serialize.matrix_from_json(m, f"{key}[{i}]").sig
                         for i, m in enumerate(mats)])
     zero, plus, minus = sampled
     if not len(zero) == len(plus) == len(minus):
         raise MalformedInput("at_zero, at_plus and at_minus differ in length")
+    grid = {0.0: zero, step: plus, -step: minus}
     if len(zero) == 1:
-        grid = {0.0: zero[0].sig, step: plus[0].sig, -step: minus[0].sig}
-        fam = ParamUnitary(evaluate=lambda h: grid[h])
+        fam = ParamUnitary(evaluate=lambda h: grid[h][0])
         return serialize.unitary_to_json(dc_extend_unitary(fam, step=step))
-    ops = tuple(
-        DCMatrix(z.sig, (p.sig - m.sig) / (2.0 * step))
-        for z, p, m in zip(zero, plus, minus)
-    )
-    return serialize.measurement_to_json(Measurement(ops))
+    return serialize.measurement_to_json(
+        dc_extend_measurement(grid.__getitem__, step=step))
 
 
 def cmd_translate(args) -> int:
@@ -231,18 +224,15 @@ def _gate_residual(h: float, mass: float) -> float:
 
 def cmd_convergence(args) -> int:
     if args.walk:
-        def task(n):
+        _require(min(args.sites) >= 1, "--sites must be >= 1")
+        results = []
+        for n in args.sites:
             err, h, t_end = walk_vs_continuum_error(n, k=args.wavenumber, m=args.mass)
-            return {"sites": n, "h": h, "time": t_end, "l2_error": err}
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(task, args.sites))
+            results.append({"sites": n, "h": h, "time": t_end, "l2_error": err})
         errors = [r["l2_error"] for r in results]
     else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            resids = list(pool.map(lambda h: _gate_residual(h, args.mass), args.h_list))
-        results = [{"h": h, "residual": r} for h, r in zip(args.h_list, resids)]
-        errors = resids
+        errors = [_gate_residual(h, args.mass) for h in args.h_list]
+        results = [{"h": h, "residual": r} for h, r in zip(args.h_list, errors)]
 
     ratios = [a / b for a, b in zip(errors, errors[1:]) if b > 0]
     report = {"results": results, "ratios": ratios}
@@ -303,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, nargs="+", default=[256, 512, 1024])
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--wavenumber", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_convergence)
 
@@ -314,6 +303,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return USAGE
     except MalformedInput as e:
         print(f"error: {args.input}: {e}", file=sys.stderr)
         return USAGE

@@ -82,3 +82,12 @@ class MalformedInput(DCError):
     """JSON input that does not follow the documented format: a missing
     key, a scalar that is not four numbers, a non-number or non-finite
     entry.  The message names the offending key or entry."""
+
+
+class MalformedShape(MalformedInput, DimMismatch):
+    """JSON matrix whose entry count is not rows x cols, or a state
+    whose matrix has more than one column."""
+
+
+class NegativeRoot(DCError, ValueError):
+    """Real square root requested of a negative number."""

@@ -35,19 +35,49 @@ def _as_carray(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DCVector:
-    """Dense vector over DualComplex: v = sig + eps*inf."""
+class _DualArray:
+    """sig + eps*inf over two equal-shape complex arrays of NDIM
+    dimensions: the ring operations vectors and matrices share."""
 
+    NDIM = 0
     sig: np.ndarray
     inf: np.ndarray = None
 
     def __post_init__(self):
         sig = _as_carray(self.sig)
         inf = _as_carray(np.zeros_like(sig) if self.inf is None else self.inf)
-        if sig.shape != inf.shape or sig.ndim != 1:
-            raise DimMismatch("vector parts must be equal-length 1-d arrays")
+        if sig.shape != inf.shape or sig.ndim != self.NDIM:
+            raise DimMismatch(
+                f"{type(self).__name__} parts must be equal-shape {self.NDIM}-d arrays")
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "inf", inf)
+
+    def __getitem__(self, index) -> DualComplex:
+        return DualComplex(self.sig[index], self.inf[index])
+
+    def __add__(self, other):
+        return type(self)(self.sig + other.sig, self.inf + other.inf)
+
+    def __sub__(self, other):
+        return type(self)(self.sig - other.sig, self.inf - other.inf)
+
+    def __neg__(self):
+        return type(self)(-self.sig, -self.inf)
+
+    def scale(self, w):
+        """Multiply by a dual-complex (or plain complex) scalar."""
+        if isinstance(w, DualReal):
+            w = w.as_dual_complex()
+        if isinstance(w, DualComplex):
+            return type(self)(w.sig * self.sig, w.sig * self.inf + w.inf * self.sig)
+        return type(self)(w * self.sig, w * self.inf)
+
+
+@dataclass(frozen=True)
+class DCVector(_DualArray):
+    """Dense vector over DualComplex: v = sig + eps*inf."""
+
+    NDIM = 1
 
     @classmethod
     def _owning(cls, sig: np.ndarray, inf: np.ndarray) -> "DCVector":
@@ -68,29 +98,6 @@ class DCVector:
     def __len__(self) -> int:
         return self.dim
 
-    def __getitem__(self, i: int) -> DualComplex:
-        return DualComplex(self.sig[i], self.inf[i])
-
-    def __add__(self, other: "DCVector") -> "DCVector":
-        return DCVector(self.sig + other.sig, self.inf + other.inf)
-
-    def __sub__(self, other: "DCVector") -> "DCVector":
-        return DCVector(self.sig - other.sig, self.inf - other.inf)
-
-    def __neg__(self) -> "DCVector":
-        return DCVector(-self.sig, -self.inf)
-
-    def scale(self, w) -> "DCVector":
-        """Multiply by a dual-complex (or plain complex) scalar."""
-        if isinstance(w, DualReal):
-            w = w.as_dual_complex()
-        if isinstance(w, DualComplex):
-            return DCVector(w.sig * self.sig, w.sig * self.inf + w.inf * self.sig)
-        return DCVector(w * self.sig, w * self.inf)
-
-    def conj(self) -> "DCVector":
-        return DCVector(self.sig.conj(), self.inf.conj())
-
     @staticmethod
     def basis(dim: int, i: int) -> "DCVector":
         e = np.zeros(dim, dtype=complex)
@@ -99,19 +106,10 @@ class DCVector:
 
 
 @dataclass(frozen=True)
-class DCMatrix:
+class DCMatrix(_DualArray):
     """Dense matrix over DualComplex: M = sig + eps*inf."""
 
-    sig: np.ndarray
-    inf: np.ndarray = None
-
-    def __post_init__(self):
-        sig = _as_carray(self.sig)
-        inf = _as_carray(np.zeros_like(sig) if self.inf is None else self.inf)
-        if sig.shape != inf.shape or sig.ndim != 2:
-            raise DimMismatch("matrix parts must be equal-shape 2-d arrays")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "inf", inf)
+    NDIM = 2
 
     @property
     def rows(self) -> int:
@@ -125,39 +123,13 @@ class DCMatrix:
     def shape(self) -> tuple:
         return self.sig.shape
 
-    def __getitem__(self, ij) -> DualComplex:
-        return DualComplex(self.sig[ij], self.inf[ij])
-
-    def __add__(self, other: "DCMatrix") -> "DCMatrix":
-        return DCMatrix(self.sig + other.sig, self.inf + other.inf)
-
-    def __sub__(self, other: "DCMatrix") -> "DCMatrix":
-        return DCMatrix(self.sig - other.sig, self.inf - other.inf)
-
-    def __neg__(self) -> "DCMatrix":
-        return DCMatrix(-self.sig, -self.inf)
-
-    def scale(self, w) -> "DCMatrix":
-        if isinstance(w, DualReal):
-            w = w.as_dual_complex()
-        if isinstance(w, DualComplex):
-            return DCMatrix(w.sig * self.sig, w.sig * self.inf + w.inf * self.sig)
-        return DCMatrix(w * self.sig, w * self.inf)
-
     def __matmul__(self, other):
-        if isinstance(other, DCMatrix):
-            return DCMatrix(
-                self.sig @ other.sig,
-                self.sig @ other.inf + self.inf @ other.sig,
-            )
-        if isinstance(other, DCVector):
-            if self.cols != other.dim:
-                raise DimMismatch(f"{self.shape} @ vector of dim {other.dim}")
-            return DCVector(
-                self.sig @ other.sig,
-                self.sig @ other.inf + self.inf @ other.sig,
-            )
-        return NotImplemented
+        """Product with a matrix or a vector, of the operand's type."""
+        if not isinstance(other, _DualArray):
+            return NotImplemented
+        if isinstance(other, DCVector) and self.cols != other.dim:
+            raise DimMismatch(f"{self.shape} @ vector of dim {other.dim}")
+        return type(other)(self.sig @ other.sig, self.sig @ other.inf + self.inf @ other.sig)
 
     def adjoint(self) -> "DCMatrix":
         return DCMatrix(self.sig.conj().T, self.inf.conj().T)
@@ -170,10 +142,6 @@ class DCMatrix:
     def zeros(rows: int, cols: int = None) -> "DCMatrix":
         cols = rows if cols is None else cols
         return DCMatrix(np.zeros((rows, cols), dtype=complex))
-
-    @staticmethod
-    def from_complex(sig, inf=None) -> "DCMatrix":
-        return DCMatrix(np.asarray(sig, dtype=complex), inf)
 
 
 class OperatorKind(enum.Enum):
@@ -228,6 +196,12 @@ def inner(u: DCVector, v: DCVector) -> DualComplex:
     sig = np.vdot(u.sig, v.sig)
     inf = np.vdot(u.sig, v.inf) + np.vdot(u.inf, v.sig)
     return DualComplex(sig, inf)
+
+
+def norm_sq(v: DCVector) -> DualReal:
+    """<v|v> = ||sig||^2 + 2 Re<sig|inf> eps."""
+    return DualReal(float(np.vdot(v.sig, v.sig).real), 2.0 * float(np.vdot(v.sig, v.inf).real))
+
 
 def vnorm(v: DCVector, tau: float = TAU) -> DualReal:
     """||v|| = ||sig|| + Re<sig|inf>/||sig|| eps.
@@ -496,17 +470,10 @@ def log_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA,
     """Anti-Hermitian logarithm sum_j (i theta_j + i mu_j eps)|j><j| with
     principal phases theta_j in (-pi, pi]; mat_exp inverts it."""
     spec = eig_unitary(u_eps, delta, atol)
-    theta = np.array([np.angle(v.sig) for v in spec.values])
     # eigenvalue sig*inf: v.inf = i lam mu  =>  mu = Im(v.inf / v.sig)
-    mu = np.array([(v.inf / v.sig).imag for v in spec.values])
-    p0, p1 = spec.basis_sig, spec.basis_inf
-    sig = (p0 * (1j * theta)) @ p0.conj().T
-    inf = (
-        (p0 * (1j * mu)) @ p0.conj().T
-        + (p1 * (1j * theta)) @ p0.conj().T
-        + (p0 * (1j * theta)) @ p1.conj().T
-    )
-    return DCMatrix(sig, inf)
+    logs = tuple(DualComplex(1j * np.angle(v.sig), 1j * (v.inf / v.sig).imag)
+                 for v in spec.values)
+    return DualSpectrum(logs, spec.basis_sig, spec.basis_inf, spec.kind).reconstruct()
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +582,6 @@ def dilation_block(u_eps: DCMatrix, m: int, d: int) -> DCMatrix:
     )
 
 
-def kron_vec(a: DCVector, b: DCVector) -> DCVector:
-    return DCVector(
-        np.kron(a.sig, b.sig),
-        np.kron(a.sig, b.inf) + np.kron(a.inf, b.sig),
-    )
-
-
-def kron_op(a: DCMatrix, b: DCMatrix) -> DCMatrix:
-    return DCMatrix(
-        np.kron(a.sig, b.sig),
-        np.kron(a.sig, b.inf) + np.kron(a.inf, b.sig),
-    )
+def kron(a: _DualArray, b: _DualArray) -> _DualArray:
+    """Tensor product a (x) b of two vectors or of two matrices."""
+    return type(a)(np.kron(a.sig, b.sig), np.kron(a.sig, b.inf) + np.kron(a.inf, b.sig))

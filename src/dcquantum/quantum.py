@@ -31,9 +31,9 @@ from .linalg import (
     inner,
     is_hermitian,
     is_unitary,
-    kron_op,
-    kron_vec,
+    kron,
     mat_exp,
+    norm_sq,
     stinespring,
     vnorm,
 )
@@ -144,10 +144,7 @@ def measure(s: QuantumState, m: Measurement, tau: float = TAU):
     outcomes = []
     for label, op in zip(m.labels, m.operators):
         phi = op @ s.vec
-        p = DualReal(
-            float(np.vdot(phi.sig, phi.sig).real),
-            2.0 * float(np.vdot(phi.sig, phi.inf).real),
-        )
+        p = norm_sq(phi)
         if p.sig <= tau:
             outcomes.append(MeasurementOutcome(label, DualReal(0.0, 0.0), None))
             continue
@@ -166,11 +163,10 @@ def sample(s: QuantumState, m: Measurement, seed: int):
 
 
 def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
-    return QuantumState(kron_vec(a.vec, b.vec))
+    return QuantumState(kron(a.vec, b.vec))
 
 
-def tensor_op(a: DCMatrix, b: DCMatrix) -> DCMatrix:
-    return kron_op(a, b)
+tensor_op = kron
 
 
 # ---------------------------------------------------------------------------

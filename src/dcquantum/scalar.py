@@ -23,6 +23,7 @@ from .errors import (
     DivisorInfinitesimal,
     LogOfInfinitesimal,
     ModulusOfInfinitesimal,
+    NegativeRoot,
     RootOfInfinitesimal,
 )
 
@@ -182,6 +183,8 @@ class DualReal:
         """Dual square root: sqrt(a) + b/(2 sqrt(a)) eps; a must be appreciable."""
         if abs(self.sig) <= tau:
             raise RootOfInfinitesimal("sqrt of a non-appreciable dual real")
+        if self.sig < 0:
+            raise NegativeRoot(f"sqrt of the negative dual real {self}")
         s = math.sqrt(self.sig)
         return DualReal(s, self.inf / (2.0 * s))
 

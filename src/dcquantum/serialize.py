@@ -17,7 +17,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import DimMismatch, MalformedInput, MalformedTrajectory
+from .errors import DimMismatch, MalformedInput, MalformedShape, MalformedTrajectory
 from .linalg import DCMatrix, DCVector
 from .quantum import Measurement, QuantumState
 from .scalar import DualComplex
@@ -81,7 +81,7 @@ def matrix_from_json(data, where: str = "matrix") -> DCMatrix:
     if type(entries) is not list:
         raise MalformedInput(f"{where}.entries: expected a list, got {entries!r}")
     if len(entries) != rows * cols:
-        raise DimMismatch(f"{where}: expected {rows * cols} entries, got {len(entries)}")
+        raise MalformedShape(f"{where}: expected {rows * cols} entries, got {len(entries)}")
     # Only ints and floats may be converted: numpy would read "1.0" or
     # True as a number.  The type scan runs at C speed.
     try:
@@ -109,7 +109,7 @@ def vector_to_json(v: DCVector) -> dict:
 def vector_from_json(data, where: str = "matrix") -> DCVector:
     m = matrix_from_json(data, where)
     if m.cols != 1:
-        raise DimMismatch(f"{where}: vector encoding must have cols == 1")
+        raise MalformedShape(f"{where}: vector encoding must have cols == 1")
     return DCVector(m.sig[:, 0], m.inf[:, 0])
 
 

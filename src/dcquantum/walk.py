@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PatchMismatch
-from .linalg import DCMatrix, DCVector
+from .linalg import DCMatrix, DCVector, norm_sq
 from .scalar import DualComplex, DualReal
 
 
@@ -58,15 +58,7 @@ class WalkState:
 
     def total_norm(self) -> DualReal:
         """Sum_x |psi+|^2 + |psi-|^2 as a dual real."""
-        sig = float(
-            np.vdot(self.plus.sig, self.plus.sig).real
-            + np.vdot(self.minus.sig, self.minus.sig).real
-        )
-        inf = 2.0 * float(
-            np.vdot(self.plus.sig, self.plus.inf).real
-            + np.vdot(self.minus.sig, self.minus.inf).real
-        )
-        return DualReal(sig, inf)
+        return norm_sq(self.plus) + norm_sq(self.minus)
 
 
 def point_source(sites: int, x0: Optional[int] = None, dx: float = 1.0) -> WalkState:
@@ -155,24 +147,23 @@ def dirac_plane_wave(k: float, m: float, branch: int = 0):
     return psip, psim, omega
 
 
+def _gate_apply(g, plus, minus):
+    """One gate on a site's (psi+, psi-): returns (psi-_out, psi+_out).
+    `g` is indexed g[row][col], and the amplitudes may be complex scalars,
+    complex arrays or DualComplex numbers."""
+    return g[0][0] * plus + g[0][1] * minus, g[1][0] * plus + g[1][1] * minus
+
+
 def continuum_residual(
     psip: Callable, psim: Callable, m: float, x: float, t: float, h: float
 ):
     """Residuals of the two corrected-gate update rows on smooth test
     functions; O(h^2) per step when (psip, psim) solves the Dirac
     equation."""
-    g = corrected_gate(m, h)
-    pred_minus = g[0, 0] * psip(x, t) + g[0, 1] * psim(x, t)
-    pred_plus = g[1, 0] * psip(x, t) + g[1, 1] * psim(x, t)
+    pred_minus, pred_plus = _gate_apply(corrected_gate(m, h), psip(x, t), psim(x, t))
     r_minus = psim(x - h, t + h) - pred_minus
     r_plus = psip(x + h, t + h) - pred_plus
     return r_plus, r_minus
-
-
-def _lattice_plane_wave(sites: int, dx: float, k: float, m: float, branch: int = 0):
-    psip, psim, omega = dirac_plane_wave(k, m, branch)
-    x = np.arange(sites) * dx
-    return psip(x, 0.0), psim(x, 0.0), psip, psim
 
 
 def walk_vs_continuum_error(sites: int, k: float = 1.0, m: float = 1.0,
@@ -187,15 +178,15 @@ def walk_vs_continuum_error(sites: int, k: float = 1.0, m: float = 1.0,
     h = length / sites
     steps = max(1, round(t_final / h))
     t_end = steps * h
-    plus, minus, psip, psim = _lattice_plane_wave(sites, h, k, m)
+    psip, psim, _ = dirac_plane_wave(k, m)
+    x = np.arange(sites) * h
+    plus, minus = psip(x, 0.0), psim(x, 0.0)
     norm0 = math.sqrt(float(np.vdot(plus, plus).real + np.vdot(minus, minus).real))
     plus, minus = plus / norm0, minus / norm0
     g = corrected_gate(m, h)
     for _ in range(steps):
-        new_minus = np.roll(g[0, 0] * plus + g[0, 1] * minus, -1)
-        new_plus = np.roll(g[1, 0] * plus + g[1, 1] * minus, 1)
-        plus, minus = new_plus, new_minus
-    x = np.arange(sites) * h
+        minus, plus = _gate_apply(g, plus, minus)
+        minus, plus = np.roll(minus, -1), np.roll(plus, 1)
     ref_plus = psip(x, t_end) / norm0
     ref_minus = psim(x, t_end) / norm0
     err = math.sqrt(
@@ -258,68 +249,30 @@ class CovarianceReport:
         return self.fitted_order is None or 1.8 <= self.fitted_order <= 2.2
 
 
-def _propagate_patch(alpha: int, beta: int, rights: list, lefts: list, apply_gate):
-    """Send alpha right-movers across beta left-movers through the gate
-    grid, in causal wavefront order (gate (i, j) fires at time i + j)."""
-    rights = list(rights)
-    lefts = list(lefts)
-    for wave in range(alpha + beta - 1):
-        for i in range(alpha):
-            j = wave - i
-            if 0 <= j < beta:
-                lefts[j], rights[i] = apply_gate(rights[i], lefts[j])
-    return rights, lefts
+def _covariance_discrepancy(patch: LorentzPatch, gate: Callable[[float], DCMatrix],
+                            psip: DualComplex, psim: DualComplex) -> float:
+    """Largest wire difference, over both components, between sending
+    alpha right-movers across beta left-movers through the grid of
+    gate(m') in causal wavefront order (gate (i, j) fires at time i + j)
+    and one gate(m) followed by the encodings."""
+    def entries(m: float) -> list:
+        g = gate(m)
+        return [[g[0, 0], g[0, 1]], [g[1, 0], g[1, 1]]]
 
-
-def _dual_gate_apply(gate: DCMatrix):
-    g = [[gate[0, 0], gate[0, 1]], [gate[1, 0], gate[1, 1]]]
-
-    def apply(r: DualComplex, l: DualComplex):
-        return g[0][0] * r + g[0][1] * l, g[1][0] * r + g[1][1] * l
-
-    return apply
-
-
-def _complex_gate_apply(g: np.ndarray):
-    def apply(r: complex, l: complex):
-        return g[0, 0] * r + g[0, 1] * l, g[1, 0] * r + g[1, 1] * l
-
-    return apply
-
-
-def _covariance_discrepancy_dual(patch: LorentzPatch, psip: DualComplex,
-                                 psim: DualComplex) -> float:
     a, b = patch.alpha, patch.beta
     sa, sb = 1.0 / math.sqrt(a), 1.0 / math.sqrt(b)
-    apply_patch = _dual_gate_apply(dirac_gate(patch.m_prime))
-
-    rights = [psip * sa for _ in range(a)]
-    lefts = [psim * sb for _ in range(b)]
-    rights, lefts = _propagate_patch(a, b, rights, lefts, apply_patch)
-
-    out_minus, out_plus = _dual_gate_apply(dirac_gate(patch.m))(psip, psim)
-    ref_rights = [out_plus * sa] * a
-    ref_lefts = [out_minus * sb] * b
-
-    diffs = [w - r for w, r in zip(rights, ref_rights)]
-    diffs += [w - r for w, r in zip(lefts, ref_lefts)]
-    return max(max(abs(d.sig), abs(d.inf)) for d in diffs)
-
-
-def _covariance_discrepancy_corrected(patch: LorentzPatch, psip: complex,
-                                      psim: complex, h: float) -> float:
-    a, b = patch.alpha, patch.beta
-    sa, sb = 1.0 / math.sqrt(a), 1.0 / math.sqrt(b)
-    apply_patch = _complex_gate_apply(corrected_gate(patch.m_prime, h))
-
+    g = entries(patch.m_prime)
     rights = [psip * sa] * a
     lefts = [psim * sb] * b
-    rights, lefts = _propagate_patch(a, b, rights, lefts, apply_patch)
+    for wave in range(a + b - 1):
+        for i in range(a):
+            j = wave - i
+            if 0 <= j < b:
+                lefts[j], rights[i] = _gate_apply(g, rights[i], lefts[j])
 
-    out_minus, out_plus = _complex_gate_apply(corrected_gate(patch.m, h))(psip, psim)
-    diffs = [w - out_plus * sa for w in rights]
-    diffs += [w - out_minus * sb for w in lefts]
-    return max(abs(d) for d in diffs)
+    out_minus, out_plus = _gate_apply(entries(patch.m), psip, psim)
+    diffs = [w - out_plus * sa for w in rights] + [w - out_minus * sb for w in lefts]
+    return max(max(abs(d.sig), abs(d.inf)) for d in diffs)
 
 
 def covariance_check(
@@ -343,15 +296,16 @@ def covariance_check(
         psim = DualComplex(psim)
 
     if mode == "dual_exact":
-        d = _covariance_discrepancy_dual(patch, psip, psim)
+        d = _covariance_discrepancy(patch, dirac_gate, psip, psim)
         return CovarianceReport("dual_exact", patch.alpha, patch.beta, d)
 
     if mode != "corrected":
         raise ValueError(f"unknown mode {mode!r}")
 
-    def at(hh: float) -> float:
-        return _covariance_discrepancy_corrected(
-            patch, psip.sig + hh * psip.inf, psim.sig + hh * psim.inf, hh
+    def at(hh: float) -> float:  # the eps-parts of every amplitude stay 0
+        return _covariance_discrepancy(
+            patch, lambda m: DCMatrix(corrected_gate(m, hh)),
+            DualComplex(psip.sig + hh * psip.inf), DualComplex(psim.sig + hh * psim.inf),
         )
 
     ds = [at(h), at(h / 2.0), at(h / 4.0)]

@@ -110,6 +110,18 @@ class TestCheckCommand:
         report = json.loads(capsys.readouterr().out)
         assert 1.8 <= report["fitted_order"] <= 2.2
 
+    @pytest.mark.parametrize("flag", ["--trials", "--alpha", "--beta"])
+    @pytest.mark.parametrize("mode", ["dual", "corrected"])
+    def test_covariance_bad_counts_are_usage_errors(self, capsys, flag, mode):
+        rc = main(["check", "covariance", "--mode", mode, flag, "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+    def test_covariance_negative_alpha_is_usage_error(self, capsys):
+        assert main(["check", "covariance", "--alpha", "-1"]) == 2
+        assert "--alpha" in capsys.readouterr().err
+
     def test_malformed_json_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "unitary", }')
@@ -152,6 +164,22 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert f"error: {path}: {located}" in captured.err
         assert captured.out == ""
+
+    def test_wrong_entry_count_exits_2(self, tmp_path, capsys):
+        doc = serialize.unitary_to_json(dirac_gate(0.7))
+        del doc["matrix"]["entries"][1:]
+        path = _write_doc(tmp_path / "short.json", doc)
+        assert main(["check", "unitary", "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: matrix: expected 4 entries, got 1" in captured.err
+        assert captured.out == ""
+
+    def test_state_with_two_columns_exits_2(self, tmp_path, capsys):
+        doc = {"kind": "state", "matrix": serialize.matrix_to_json(DCMatrix(np.eye(2) / 2))}
+        path = _write_doc(tmp_path / "wide.json", doc)
+        assert main(["check", "unitary", "--in", path]) == 2
+        assert f"error: {path}: matrix: vector encoding must have cols == 1" in (
+            capsys.readouterr().err)
 
     def test_translate_names_the_operator(self, tmp_path, capsys):
         meas = Measurement((DCMatrix(np.diag([1.0, 0.0])), DCMatrix(np.diag([0.0, 1.0]))))
@@ -264,6 +292,18 @@ class TestTranslateCommand:
 
 
 class TestConvergenceCommand:
+    @pytest.mark.parametrize("sites", [["0"], ["64", "-8"]])
+    def test_walk_study_bad_sites_is_usage_error(self, capsys, sites):
+        assert main(["convergence", "--walk", "--sites", *sites]) == 2
+        captured = capsys.readouterr()
+        assert "--sites" in captured.err and captured.out == ""
+
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--jobs", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_gate_study_ratios(self, capsys):
         assert main(["convergence"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -271,8 +311,7 @@ class TestConvergenceCommand:
             assert 3.3 < r < 4.7
 
     def test_walk_study_parallel(self, capsys):
-        rc = main(["convergence", "--walk", "--sites", "64", "128", "256",
-                   "--jobs", "2"])
+        rc = main(["convergence", "--walk", "--sites", "64", "128", "256"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         for r in report["ratios"]:

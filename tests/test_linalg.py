@@ -17,11 +17,13 @@ from dcquantum.linalg import (
     decompose_unitary,
     divide_vector,
     inner,
+    kron,
     mat_exp,
+    norm_sq,
     residual,
     vnorm,
 )
-from dcquantum.scalar import DualComplex
+from dcquantum.scalar import DualComplex, DualReal
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -55,6 +57,45 @@ class TestInnerAndNorm:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             inner(DCVector.basis(2, 0), DCVector.basis(3, 0))
+
+    def test_norm_sq_is_self_inner_product(self, rng):
+        v = random_dc_vector(5, rng)
+        q = inner(v, v)
+        assert norm_sq(v) == DualReal(q.sig.real, q.inf.real)
+        assert norm_sq(DCVector(np.array([3.0, 4.0]), np.array([1.0, 0.0]))) == DualReal(25, 6)
+
+
+class TestRing:
+    @pytest.mark.parametrize("cls, shape", [(DCVector, (3,)), (DCMatrix, (2, 3))])
+    def test_operations_keep_the_type(self, cls, shape, rng):
+        a = cls(rng.standard_normal(shape), rng.standard_normal(shape))
+        b = cls(rng.standard_normal(shape), rng.standard_normal(shape))
+        w = DualComplex(0.5 - 1j, 2.0)
+        for got, sig, inf in [(a + b, a.sig + b.sig, a.inf + b.inf),
+                              (a - b, a.sig - b.sig, a.inf - b.inf),
+                              (-a, -a.sig, -a.inf),
+                              (a.scale(w), w.sig * a.sig, w.sig * a.inf + w.inf * a.sig),
+                              (a.scale(3j), 3j * a.sig, 3j * a.inf)]:
+            assert type(got) is cls
+            assert np.array_equal(got.sig, sig) and np.array_equal(got.inf, inf)
+        last = tuple(n - 1 for n in shape)
+        assert a[last] == DualComplex(a.sig[last], a.inf[last])
+
+    @pytest.mark.parametrize("cls, shape", [(DCVector, (2, 2)), (DCMatrix, (4,))])
+    def test_wrong_rank_rejected(self, cls, shape):
+        with pytest.raises(DimMismatch):
+            cls(np.zeros(shape))
+
+    def test_kron_of_vectors_and_of_matrices(self, rng):
+        u, v = random_dc_vector(2, rng), random_dc_vector(3, rng)
+        a = DCMatrix(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
+        b = DCMatrix(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+        uv, ab = kron(u, v), kron(a, b)
+        assert type(uv) is DCVector and type(ab) is DCMatrix
+        assert np.array_equal(uv.inf, np.kron(u.sig, v.inf) + np.kron(u.inf, v.sig))
+        # mixed product: (A x B)(u x v) = Au x Bv
+        lhs, rhs = ab @ uv, kron(a @ u, b @ v)
+        assert np.allclose(lhs.sig, rhs.sig) and np.allclose(lhs.inf, rhs.inf)
 
 
 class TestClassifyOp:

@@ -10,6 +10,7 @@ from dcquantum.errors import (
     DivisorInfinitesimal,
     LogOfInfinitesimal,
     ModulusOfInfinitesimal,
+    NegativeRoot,
     RootOfInfinitesimal,
 )
 from dcquantum.scalar import (
@@ -129,6 +130,17 @@ class TestPowRoot:
     def test_root_of_infinitesimal_raises(self):
         with pytest.raises(RootOfInfinitesimal):
             nth_root(DualComplex(0, 1), 2)
+
+    def test_real_sqrt(self):
+        assert DualReal(4.0, 2.0).sqrt() == DualReal(2.0, 0.5)
+
+    @pytest.mark.parametrize("value", [DualReal(-1.0, 0.0), DualReal(-4.0, 3.0)])
+    def test_real_sqrt_of_negative_is_typed(self, value):
+        # a DCError, and still a ValueError for callers that catch that
+        with pytest.raises(NegativeRoot, match="negative"):
+            value.sqrt()
+        with pytest.raises(ValueError):
+            value.sqrt()
 
 
 class TestAnalyticExtension:

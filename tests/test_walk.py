@@ -1,5 +1,6 @@
 """Dirac walk: gate, stepping, continuum limit, Lorentz covariance."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from dcquantum.walk import (
     walk_vs_continuum_error,
 )
 from dcquantum.linalg import DCVector
+from dcquantum.cli import main
 
 
 class TestGate:
@@ -240,3 +242,133 @@ class TestLorentz:
         psim = DualComplex(1.0)
         rep = covariance_check(p, (DualComplex(0), psim))
         assert rep.max_discrepancy < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-formula loops that the walk module
+# folded into one gate application and one covariance routine.  The
+# folded code must reproduce them to the bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_continuum_residual(psip, psim, m, x, t, h):
+    g = corrected_gate(m, h)
+    pred_minus = g[0, 0] * psip(x, t) + g[0, 1] * psim(x, t)
+    pred_plus = g[1, 0] * psip(x, t) + g[1, 1] * psim(x, t)
+    return psip(x + h, t + h) - pred_plus, psim(x - h, t + h) - pred_minus
+
+
+def _reference_walk_error(sites, k, m, length=2.0 * math.pi, t_final=1.0):
+    h = length / sites
+    steps = max(1, round(t_final / h))
+    t_end = steps * h
+    psip, psim, _ = dirac_plane_wave(k, m)
+    x = np.arange(sites) * h
+    plus, minus = psip(x, 0.0), psim(x, 0.0)
+    norm0 = math.sqrt(float(np.vdot(plus, plus).real + np.vdot(minus, minus).real))
+    plus, minus = plus / norm0, minus / norm0
+    g = corrected_gate(m, h)
+    for _ in range(steps):
+        new_minus = np.roll(g[0, 0] * plus + g[0, 1] * minus, -1)
+        new_plus = np.roll(g[1, 0] * plus + g[1, 1] * minus, 1)
+        plus, minus = new_plus, new_minus
+    ref_plus, ref_minus = psip(x, t_end) / norm0, psim(x, t_end) / norm0
+    err = math.sqrt(float(np.vdot(plus - ref_plus, plus - ref_plus).real)
+                    + float(np.vdot(minus - ref_minus, minus - ref_minus).real))
+    return err, h, t_end
+
+
+def _reference_patch_outputs(patch, g_prime, g, psip, psim):
+    """Wire outputs of the gate grid and of one gate then the encodings,
+    with g_prime and g nested [row][col] entry lists."""
+    a, b = patch.alpha, patch.beta
+    sa, sb = 1.0 / math.sqrt(a), 1.0 / math.sqrt(b)
+    rights, lefts = [psip * sa] * a, [psim * sb] * b
+    for wave in range(a + b - 1):
+        for i in range(a):
+            j = wave - i
+            if 0 <= j < b:
+                r, l = rights[i], lefts[j]
+                lefts[j] = g_prime[0][0] * r + g_prime[0][1] * l
+                rights[i] = g_prime[1][0] * r + g_prime[1][1] * l
+    out_minus = g[0][0] * psip + g[0][1] * psim
+    out_plus = g[1][0] * psip + g[1][1] * psim
+    return [w - out_plus * sa for w in rights] + [w - out_minus * sb for w in lefts]
+
+
+def _reference_dual_discrepancy(patch, psip, psim):
+    def entries(m):
+        gate = dirac_gate(m)
+        return [[gate[0, 0], gate[0, 1]], [gate[1, 0], gate[1, 1]]]
+
+    diffs = _reference_patch_outputs(patch, entries(patch.m_prime), entries(patch.m),
+                                     psip, psim)
+    return max(max(abs(d.sig), abs(d.inf)) for d in diffs)
+
+
+def _reference_corrected_report(patch, psip, psim, h):
+    """The complex-amplitude twin: plain complex inputs at eps = hh and
+    numpy gate entries, with the order fit over {h, h/2, h/4}."""
+    def at(hh):
+        g_prime, g = corrected_gate(patch.m_prime, hh), corrected_gate(patch.m, hh)
+        diffs = _reference_patch_outputs(patch, g_prime, g, psip.sig + hh * psip.inf,
+                                         psim.sig + hh * psim.inf)
+        return max(abs(d) for d in diffs)
+
+    ds = [at(h), at(h / 2.0), at(h / 4.0)]
+    order = None
+    if min(ds) > 1e-14:
+        order = float(np.mean([math.log2(ds[0] / ds[1]), math.log2(ds[1] / ds[2])]))
+    return ds[0], order
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestFoldedPathsBitIdentical:
+    @pytest.mark.parametrize("sites, k, m", [(64, 1.0, 1.0), (128, 2.0, 0.5),
+                                             (100, 3.0, 0.0), (256, 1.0, -0.7)])
+    def test_walk_vs_continuum_error(self, sites, k, m):
+        got = walk_vs_continuum_error(sites, k=k, m=m)
+        want = _reference_walk_error(sites, k, m)
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3])
+    def test_continuum_residual(self, h):
+        psip, psim, _ = dirac_plane_wave(1.0, 0.8)
+        for x in (0.3, np.linspace(-1.0, 2.0, 9)):
+            got = continuum_residual(psip, psim, 0.8, x=x, t=0.2, h=h)
+            want = _reference_continuum_residual(psip, psim, 0.8, x=x, t=0.2, h=h)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 3), (8, 8)])
+    def test_covariance_both_modes(self, alpha, beta, rng):
+        patch = lorentz_encodings(alpha, beta, m=0.9)
+        for _ in range(3):
+            v = rng.standard_normal(8)
+            psip = DualComplex(complex(v[0], v[1]), complex(v[2], v[3]))
+            psim = DualComplex(complex(v[4], v[5]), complex(v[6], v[7]))
+            dual = covariance_check(patch, (psip, psim))
+            assert _bits(dual.max_discrepancy) == _bits(
+                _reference_dual_discrepancy(patch, psip, psim))
+            corrected = covariance_check(patch, (psip, psim), mode="corrected", h=1e-2)
+            d, order = _reference_corrected_report(patch, psip, psim, 1e-2)
+            assert _bits(corrected.max_discrepancy) == _bits(d)
+            assert corrected.fitted_order == order
+            if alpha * beta > 1:
+                assert order is not None
+
+
+# The README example; the same bytes since the walk kernel and the CSV
+# writer were first rewritten.
+README_WALK_SHA256 = "0b3691964b0edca23f2b079cdfecdb4256a2e950850c305af5c63462fdf26c56"
+
+
+def test_readme_walk_csv_is_golden(tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert main(["walk", "--mass", "0.5", "--sites", "256", "--steps", "200",
+                 "--record-every", "10", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == README_WALK_SHA256
+    assert capsys.readouterr().out == "final dual norm: 1.0 + (0.0)eps\n"
