@@ -17,6 +17,7 @@ import numpy as np
 from . import scalar, serialize
 from .errors import DCError, MalformedInput
 from .linalg import (
+    CLUSTER_DELTA,
     DCMatrix,
     check_appreciably_semipositive,
     eig_hermitian,
@@ -110,11 +111,13 @@ def _check_spectrum(m: DCMatrix, atol: float, delta: float):
 
 
 def cmd_check(args) -> int:
-    delta = args.delta
+    _require(args.trials >= 1, "--trials must be >= 1")
     if args.what == "covariance":
-        _require(args.trials >= 1, "--trials must be >= 1")
         _require(args.alpha >= 1, "--alpha must be >= 1")
         _require(args.beta >= 1, "--beta must be >= 1")
+        _require(math.isfinite(args.mass), "--mass must be finite")
+        _require(args.mode == "dual" or 0 < args.h < math.inf,
+                 "--h must be finite and > 0 with --mode corrected")
         patch = lorentz_encodings(args.alpha, args.beta, args.mass)
         mode = "dual_exact" if args.mode == "dual" else "corrected"
         rng = np.random.default_rng(args.seed)
@@ -128,6 +131,7 @@ def cmd_check(args) -> int:
         _write_report(report, args.out)
         return PASS if worst.passed else FAIL
 
+    _require(args.input is not None, f"check {args.what} needs --in")
     obj = serialize.tagged_from_json(_load_json(args.input))
     if isinstance(obj, Measurement):
         print("error: check expects a unitary/matrix file", file=sys.stderr)
@@ -141,13 +145,11 @@ def cmd_check(args) -> int:
         worst = residual(m, OperatorKind(args.what))
         ok = worst <= args.rtol
     elif args.what == "spectrum":
-        ok, worst = _check_spectrum(m, args.rtol, delta)
-    elif args.what == "semipositive":
+        ok, worst = _check_spectrum(m, args.rtol, args.delta)
+    else:  # semipositive; argparse restricts the choices
         rep = check_appreciably_semipositive(m, trials=args.trials, seed=args.seed,
                                              tau=args.tau)
         ok, worst = rep.passed, rep.worst_violation
-    else:  # unreachable; argparse restricts choices
-        return USAGE
 
     report = {"check": args.what, "pass": bool(ok), "worst_residual": worst}
     _write_report(report, args.out)
@@ -185,6 +187,8 @@ def _extend_from_family(data, step_default: float):
 
 
 def cmd_translate(args) -> int:
+    _require(math.isfinite(args.h) and (args.correct or args.h >= 0),
+             "--h must be finite, and >= 0 with --extend")
     data = _load_json(args.input)
     if args.extend:
         if not isinstance(data, dict) or data.get("kind") != "family":
@@ -223,14 +227,18 @@ def _gate_residual(h: float, mass: float) -> float:
 
 
 def cmd_convergence(args) -> int:
+    _require(math.isfinite(args.mass), "--mass must be finite")
     if args.walk:
         _require(min(args.sites) >= 1, "--sites must be >= 1")
+        _require(math.isfinite(args.wavenumber), "--wavenumber must be finite")
         results = []
         for n in args.sites:
             err, h, t_end = walk_vs_continuum_error(n, k=args.wavenumber, m=args.mass)
             results.append({"sites": n, "h": h, "time": t_end, "l2_error": err})
         errors = [r["l2_error"] for r in results]
     else:
+        _require(all(0 < h < math.inf for h in args.h_list),
+                 "--h-list values must be finite and > 0")
         errors = [_gate_residual(h, args.mass) for h in args.h_list]
         results = [{"h": h, "residual": r} for h, r in zip(args.h_list, errors)]
 
@@ -247,11 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dcq",
                                      description="dual-complex quantum toolkit")
     parser.add_argument("--tau", type=float, default=scalar.TAU,
-                        help="appreciability cutoff")
-    parser.add_argument("--delta", type=float, default=1e-8,
-                        help="eigenvalue clustering threshold")
+                        help="appreciability cutoff; read only by check semipositive")
+    parser.add_argument("--delta", type=float, default=CLUSTER_DELTA,
+                        help="eigenvalue clustering threshold; read only by check spectrum")
     parser.add_argument("--rtol", type=float, default=1e-8,
-                        help="residual tolerance for checks")
+                        help="residual tolerance of check unitary, hermitian and spectrum")
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -302,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("tau", "delta", "rtol"):
+            _require(0 <= getattr(args, flag) < math.inf, f"--{flag} must be finite and >= 0")
+        _require(args.seed >= 0, "--seed must be >= 0")
         return args.func(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,10 +22,14 @@ from .errors import (
     NotHermitian,
     NotUnitary,
 )
-from .scalar import TAU, DualComplex, DualReal
+from .scalar import TAU, DualComplex, DualNumber, DualReal, _leibniz
 
 #: Eigenvalue clustering threshold for degenerate-subspace detection.
 CLUSTER_DELTA = 1e-8
+#: Residual up to which an input that must be unitary or Hermitian is taken as one.
+REQUIRE_ATOL = 1e-8
+#: Max-norm defect within which a family is complete and a dual norm is 1 + 0eps.
+_COMPLETE_ATOL = 1e-9
 
 
 def _as_carray(a) -> np.ndarray:
@@ -65,11 +69,9 @@ class _DualArray:
         return type(self)(-self.sig, -self.inf)
 
     def scale(self, w):
-        """Multiply by a dual-complex (or plain complex) scalar."""
-        if isinstance(w, DualReal):
-            w = w.as_dual_complex()
-        if isinstance(w, DualComplex):
-            return type(self)(w.sig * self.sig, w.sig * self.inf + w.inf * self.sig)
+        """Multiply by a dual scalar (DualComplex or DualReal) or a plain complex."""
+        if isinstance(w, DualNumber):
+            return type(self)(*_leibniz(np.multiply, w, self))
         return type(self)(w * self.sig, w * self.inf)
 
 
@@ -129,7 +131,7 @@ class DCMatrix(_DualArray):
             return NotImplemented
         if isinstance(other, DCVector) and self.cols != other.dim:
             raise DimMismatch(f"{self.shape} @ vector of dim {other.dim}")
-        return type(other)(self.sig @ other.sig, self.sig @ other.inf + self.inf @ other.sig)
+        return type(other)(*_leibniz(np.matmul, self, other))
 
     def adjoint(self) -> "DCMatrix":
         return DCMatrix(self.sig.conj().T, self.inf.conj().T)
@@ -154,11 +156,12 @@ class OperatorKind(enum.Enum):
 class DualSpectrum:
     """Eigenpairs of a dual-complex Hermitian or unitary operator.
 
-    ``basis_sig``/``basis_inf`` hold the eigenvectors column-wise; the
-    j-th eigenvector is basis_sig[:, j] + eps * basis_inf[:, j].
+    ``values`` holds the eigenvalues in order; ``basis_sig``/``basis_inf``
+    hold the eigenvectors column-wise, the j-th eigenvector being
+    basis_sig[:, j] + eps * basis_inf[:, j].
     """
 
-    values: tuple  # tuple of DualComplex
+    values: DCVector
     basis_sig: np.ndarray
     basis_inf: np.ndarray
     kind: str  # "hermitian" or "unitary"
@@ -171,17 +174,9 @@ class DualSpectrum:
         return DCVector(self.basis_sig[:, j], self.basis_inf[:, j])
 
     def reconstruct(self) -> DCMatrix:
-        """Sum_j value_j |j><j| carried out in dual arithmetic."""
-        lam = np.array([v.sig for v in self.values])
-        mu = np.array([v.inf for v in self.values])
-        p0, p1 = self.basis_sig, self.basis_inf
-        sig = (p0 * lam) @ p0.conj().T
-        inf = (
-            (p0 * mu) @ p0.conj().T
-            + (p1 * lam) @ p0.conj().T
-            + (p0 * lam) @ p1.conj().T
-        )
-        return DCMatrix(sig, inf)
+        """P diag(values) P^dag carried out in dual arithmetic."""
+        p = DCMatrix(self.basis_sig, self.basis_inf)
+        return DCMatrix(*_leibniz(np.multiply, p, self.values)) @ p.adjoint()
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +188,7 @@ def inner(u: DCVector, v: DCVector) -> DualComplex:
     """<u|v> = sum_k u_k* v_k, conjugate-linear in the first slot."""
     if u.dim != v.dim:
         raise DimMismatch(f"inner product of dims {u.dim} and {v.dim}")
-    sig = np.vdot(u.sig, v.sig)
-    inf = np.vdot(u.sig, v.inf) + np.vdot(u.inf, v.sig)
-    return DualComplex(sig, inf)
+    return DualComplex(*_leibniz(np.vdot, u, v))
 
 
 def norm_sq(v: DCVector) -> DualReal:
@@ -203,15 +196,15 @@ def norm_sq(v: DCVector) -> DualReal:
     return DualReal(float(np.vdot(v.sig, v.sig).real), 2.0 * float(np.vdot(v.sig, v.inf).real))
 
 
-def vnorm(v: DCVector, tau: float = TAU) -> DualReal:
+def vnorm(v: DCVector) -> DualReal:
     """||v|| = ||sig|| + Re<sig|inf>/||sig|| eps.
 
     The norm of a nonzero infinitesimal vector is 0 with undefined
     eps-part; that raises, mirroring the scalar modulus.
     """
     n = float(np.linalg.norm(v.sig))
-    if n <= tau:
-        if np.abs(v.inf).max(initial=0.0) > tau:
+    if n <= TAU:
+        if np.abs(v.inf).max(initial=0.0) > TAU:
             raise ModulusOfInfinitesimal(
                 "norm of a nonzero infinitesimal vector",
                 value=DualReal(0.0, 0.0),
@@ -220,13 +213,11 @@ def vnorm(v: DCVector, tau: float = TAU) -> DualReal:
     return DualReal(n, float(np.vdot(v.sig, v.inf).real) / n)
 
 
-def divide_vector(v: DCVector, w, tau: float = TAU) -> DCVector:
+def divide_vector(v: DCVector, w: DualNumber) -> DCVector:
     """Componentwise division of a vector by an appreciable dual scalar."""
-    if isinstance(w, DualReal):
-        w = w.as_dual_complex()
-    if abs(w.sig) <= tau:
+    if abs(w.sig) <= TAU:
         raise InfinitesimalVector("cannot divide a vector by an infinitesimal scalar")
-    z, t = w.sig, w.inf
+    z, t = complex(w.sig), complex(w.inf)
     sig = v.sig / z
     inf = v.inf / z - v.sig * t / (z * z)
     return DCVector(sig, inf)
@@ -273,13 +264,13 @@ def is_hermitian(m: DCMatrix, atol: float = 1e-10) -> bool:
     return m.rows == m.cols and OperatorKind.HERMITIAN in classify_op(m, atol)
 
 
-def decompose_unitary(u_eps: DCMatrix, atol: float = 1e-8):
+def decompose_unitary(u_eps: DCMatrix):
     """Split a dual-complex unitary as (I + i eps H) U.
 
     Returns (U, H) with U = sig part (complex unitary) and H Hermitian,
     so that u_eps = U + eps * iHU.
     """
-    if not is_unitary(u_eps, atol):
+    if not is_unitary(u_eps, REQUIRE_ATOL):
         raise NotUnitary("decompose_unitary requires a dual-complex unitary")
     u = u_eps.sig
     h = -1j * u_eps.inf @ u.conj().T
@@ -400,8 +391,7 @@ def _across_clusters(ids: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.nd
     return np.where(same, 0.0, num / np.where(same, 1.0, den))
 
 
-def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA,
-                  atol: float = 1e-8) -> DualSpectrum:
+def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
     """Dual eigendecomposition of H + eps J, both parts Hermitian.
 
     Degenerate clusters of H (within delta) are resolved by
@@ -409,7 +399,7 @@ def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA,
     basis; first-order vector corrections follow from
     <k0|j1> = -h_kj / (theta_k - theta_j) across clusters.
     """
-    if not is_hermitian(h_eps, atol):
+    if not is_hermitian(h_eps, REQUIRE_ATOL):
         raise NotHermitian("eig_hermitian requires a Hermitian dual-complex matrix")
     theta, p = np.linalg.eigh(h_eps.sig)
     j = h_eps.inf
@@ -420,8 +410,8 @@ def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA,
     p1 = p @ _across_clusters(ids, -h, theta[:, None] - theta[None, :])
 
     order = np.lexsort((mu, theta))
-    values = tuple(DualComplex(theta[i], mu[i]) for i in order)
-    return DualSpectrum(values, p[:, order], p1[:, order], kind="hermitian")
+    return DualSpectrum(DCVector(theta[order], mu[order]), p[:, order], p1[:, order],
+                        kind="hermitian")
 
 
 def _unitary_eigenbasis(u: np.ndarray, delta: float):
@@ -439,8 +429,7 @@ def _unitary_eigenbasis(u: np.ndarray, delta: float):
     return lam, q
 
 
-def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA,
-                atol: float = 1e-8) -> DualSpectrum:
+def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
     """Dual eigendecomposition of a dual-complex unitary.
 
     Writes U_eps = U + i eps J U, diagonalizes U (resolving degenerate
@@ -449,7 +438,7 @@ def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA,
     alpha_jk = i lam_j h_kj / (lam_j - lam_k) across clusters, zero
     within; eigenvalues are lam_j (1 + i h_jj eps).
     """
-    u, j = decompose_unitary(u_eps, atol)
+    u, j = decompose_unitary(u_eps)
     lam, p = _unitary_eigenbasis(u, delta)
     p, ids = _diagonalize_in_clusters(p, lam, j, delta)
     h = p.conj().T @ j @ p
@@ -459,20 +448,18 @@ def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA,
     mu = np.real(np.diag(h))
     theta = np.angle(lam)
     order = np.lexsort((mu, theta))
-    values = tuple(
-        DualComplex(lam[i], 1j * lam[i] * mu[i]) for i in order
-    )
-    return DualSpectrum(values, p[:, order], p1[:, order], kind="unitary")
+    lam = lam[order]
+    return DualSpectrum(DCVector(lam, 1j * lam * mu[order]), p[:, order], p1[:, order],
+                        kind="unitary")
 
 
-def log_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA,
-                atol: float = 1e-8) -> DCMatrix:
+def log_unitary(u_eps: DCMatrix) -> DCMatrix:
     """Anti-Hermitian logarithm sum_j (i theta_j + i mu_j eps)|j><j| with
     principal phases theta_j in (-pi, pi]; mat_exp inverts it."""
-    spec = eig_unitary(u_eps, delta, atol)
-    # eigenvalue sig*inf: v.inf = i lam mu  =>  mu = Im(v.inf / v.sig)
-    logs = tuple(DualComplex(1j * np.angle(v.sig), 1j * (v.inf / v.sig).imag)
-                 for v in spec.values)
+    spec = eig_unitary(u_eps)
+    lam, lam1 = spec.values.sig, spec.values.inf
+    # eigenvalue lam + eps i lam mu  =>  mu = Im(lam1 / lam)
+    logs = DCVector(1j * np.angle(lam), 1j * (lam1 / lam).imag)
     return DualSpectrum(logs, spec.basis_sig, spec.basis_inf, spec.kind).reconstruct()
 
 
@@ -539,7 +526,7 @@ def completeness_defect(family) -> float:
     return _max_abs(acc.sig - np.eye(d), acc.inf)
 
 
-def stinespring(family, atol: float = 1e-9) -> DCMatrix:
+def stinespring(family) -> DCMatrix:
     """Stinespring dilation of a complete operator family {M_m}.
 
     Builds the isometry V = V0 + eps V1 = sum_m |m><0| x M_m
@@ -559,9 +546,9 @@ def stinespring(family, atol: float = 1e-9) -> DCMatrix:
         if m.shape != (d, d):
             raise DimMismatch("all operators in the family must be d x d")
     defect = completeness_defect(family)
-    if not defect <= atol:  # NaN fails too
+    if not defect <= _COMPLETE_ATOL:  # NaN fails too
         raise IncompleteFamily(
-            f"sum M^dag M deviates from I by {defect:.3e} (atol {atol:.1e})"
+            f"sum M^dag M deviates from I by {defect:.3e} (atol {_COMPLETE_ATOL:.1e})"
         )
 
     v0 = np.concatenate([m.sig for m in family])
@@ -584,4 +571,4 @@ def dilation_block(u_eps: DCMatrix, m: int, d: int) -> DCMatrix:
 
 def kron(a: _DualArray, b: _DualArray) -> _DualArray:
     """Tensor product a (x) b of two vectors or of two matrices."""
-    return type(a)(np.kron(a.sig, b.sig), np.kron(a.sig, b.inf) + np.kron(a.inf, b.sig))
+    return type(a)(*_leibniz(np.kron, a, b))

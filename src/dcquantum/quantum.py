@@ -22,6 +22,8 @@ from .errors import (
     NotUnitaryAtZero,
 )
 from .linalg import (
+    _COMPLETE_ATOL,
+    REQUIRE_ATOL,
     DCMatrix,
     DCVector,
     completeness_defect,
@@ -39,7 +41,6 @@ from .linalg import (
 )
 from .scalar import TAU, DualReal
 
-STATE_NORM_ATOL = 1e-9
 FD_STEP = 1e-6  # central-difference step for derivative_at_zero
 
 
@@ -51,7 +52,7 @@ class QuantumState:
 
     def __post_init__(self):
         n = vnorm(self.vec)
-        if abs(n.sig - 1.0) > STATE_NORM_ATOL or abs(n.inf) > STATE_NORM_ATOL:
+        if abs(n.sig - 1.0) > _COMPLETE_ATOL or abs(n.inf) > _COMPLETE_ATOL:
             raise InfinitesimalVector(
                 f"state vector has dual norm {n}, expected 1 + 0ε"
             )
@@ -74,7 +75,7 @@ class Measurement:
         if len(labels) != len(ops):
             raise DimMismatch("one label per measurement operator")
         defect = completeness_defect(ops)
-        if not defect <= STATE_NORM_ATOL:  # NaN fails too
+        if not defect <= _COMPLETE_ATOL:  # NaN fails too
             raise IncompleteMeasurement(
                 f"sum M^dag M deviates from I by {defect:.3e}"
             )
@@ -109,30 +110,29 @@ class ParamUnitary:
     derivative_at_zero: Optional[np.ndarray] = None
 
 
-def normalize(v: DCVector, tau: float = TAU) -> QuantumState:
+def normalize(v: DCVector) -> QuantumState:
     """Scale an appreciable vector to unit dual norm using dual division."""
-    if float(np.linalg.norm(v.sig)) <= tau:
+    if float(np.linalg.norm(v.sig)) <= TAU:
         raise InfinitesimalVector("cannot normalize an infinitesimal vector")
-    return QuantumState(divide_vector(v, vnorm(v, tau)))
+    return QuantumState(divide_vector(v, vnorm(v)))
 
 
-def evolve(s: QuantumState, u_eps: DCMatrix, atol: float = 1e-8) -> QuantumState:
+def evolve(s: QuantumState, u_eps: DCMatrix) -> QuantumState:
     if u_eps.cols != s.dim:
         raise DimMismatch(f"operator {u_eps.shape} on state of dim {s.dim}")
-    if not is_unitary(u_eps, atol):
+    if not is_unitary(u_eps, REQUIRE_ATOL):
         raise NotUnitary("evolution requires a dual-complex unitary")
     return QuantumState(u_eps @ s.vec)
 
 
-def schrodinger_step(s: QuantumState, h_eps: DCMatrix, dt: float,
-                     atol: float = 1e-8) -> QuantumState:
+def schrodinger_step(s: QuantumState, h_eps: DCMatrix, dt: float) -> QuantumState:
     """Evolve by exp(-i dt H_eps), hbar = 1."""
-    if not is_hermitian(h_eps, atol):
+    if not is_hermitian(h_eps, REQUIRE_ATOL):
         raise NotHermitian("schrodinger_step requires a Hermitian generator")
-    return evolve(s, mat_exp(h_eps.scale(-1j * dt)), atol)
+    return evolve(s, mat_exp(h_eps.scale(-1j * dt)))
 
 
-def measure(s: QuantumState, m: Measurement, tau: float = TAU):
+def measure(s: QuantumState, m: Measurement):
     """Apply a measurement: per outcome, the dual probability
     p = <psi|M^dag M|psi> and the renormalized post-state M psi / sqrt(p).
 
@@ -145,7 +145,7 @@ def measure(s: QuantumState, m: Measurement, tau: float = TAU):
     for label, op in zip(m.labels, m.operators):
         phi = op @ s.vec
         p = norm_sq(phi)
-        if p.sig <= tau:
+        if p.sig <= TAU:
             outcomes.append(MeasurementOutcome(label, DualReal(0.0, 0.0), None))
             continue
         post = QuantumState(divide_vector(phi, p.sqrt()))
@@ -174,15 +174,14 @@ tensor_op = kron
 # ---------------------------------------------------------------------------
 
 
-def dc_extend_unitary(p: ParamUnitary, step: float = FD_STEP,
-                      atol: float = 1e-8) -> DCMatrix:
+def dc_extend_unitary(p: ParamUnitary, step: float = FD_STEP) -> DCMatrix:
     """U + eps iHU with U = p(0) and iHU = dU/dh at 0.
 
     A finite-differenced derivative is Hermitian-projected so the result
     is exactly dual-complex unitary.
     """
     u0 = np.asarray(p.evaluate(0.0), dtype=complex)
-    if not is_unitary(DCMatrix(u0), max(atol, 1e-10)):
+    if not is_unitary(DCMatrix(u0), REQUIRE_ATOL):
         raise NotUnitaryAtZero("family does not evaluate to a unitary at h = 0")
     if p.derivative_at_zero is not None:
         d = np.asarray(p.derivative_at_zero, dtype=complex)
@@ -194,11 +193,10 @@ def dc_extend_unitary(p: ParamUnitary, step: float = FD_STEP,
     return DCMatrix(u0, 1j * h @ u0)
 
 
-def complex_correct_unitary(u_eps: DCMatrix, h: float,
-                            atol: float = 1e-8) -> np.ndarray:
+def complex_correct_unitary(u_eps: DCMatrix, h: float) -> np.ndarray:
     """exp(ihH) U: the conventional unitary agreeing with U_eps|_(eps=h)
     up to O(h^2), from the eigendecomposition of the Hermitian H."""
-    u, herm = decompose_unitary(u_eps, atol)
+    u, herm = decompose_unitary(u_eps)
     w, q = np.linalg.eigh(herm)
     return (q * np.exp(1j * h * w)) @ q.conj().T @ u
 

@@ -3,11 +3,13 @@
 A dual-complex number is stored as two independent complex components,
 ``sig + inf*eps``.  Nilpotency is enforced at the representation level:
 no operation ever multiplies two infinitesimal parts together, so the
-square of any infinitesimal is bit-exactly zero.
+square of any infinitesimal is bit-exactly zero: every product of dual
+objects, scalar or array, is the one Leibniz rule in `_leibniz`.
 
-``DualReal`` is the ordered sub-ring a + b*eps with real components; it
-carries probabilities and norms and is the only type that supports
-comparison.
+``DualComplex`` and ``DualReal`` share the ring operations of their base
+``DualNumber``.  ``DualReal`` is the ordered sub-ring a + b*eps with real
+components; it carries probabilities and norms and is the only type that
+supports comparison.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +30,7 @@ from .errors import (
     RootOfInfinitesimal,
 )
 
-#: Default appreciability cutoff: |sig| <= TAU counts as zero significant part.
+#: Appreciability cutoff: |sig| <= TAU counts as a zero significant part.
 TAU = 1e-12
 
 
@@ -43,70 +46,89 @@ class Ordering(enum.IntEnum):
     GT = 1
 
 
-@dataclass(frozen=True)
-class DualComplex:
-    """z + t*eps with complex significant part z and infinitesimal part t."""
+def _leibniz(f, a, b):
+    """The (sig, inf) parts of the product f(a, b) of two dual objects,
+    f bilinear: f(a0, b0) + eps (f(a0, b1) + f(a1, b0)).  eps^2 = 0, so
+    f(a1, b1) is never formed."""
+    return f(a.sig, b.sig), f(a.sig, b.inf) + f(a.inf, b.sig)
 
-    sig: complex = 0j
-    inf: complex = 0j
+
+@dataclass(frozen=True)
+class DualNumber:
+    """sig + inf*eps: the ring operations DualComplex and DualReal share.
+
+    A subclass names the type of its parts in ``_PART`` and converts the
+    operands of other types that it accepts in ``_coerce``, which returns
+    NotImplemented for any other operand.
+    """
+
+    sig: complex = 0
+    inf: complex = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "sig", complex(self.sig))
-        object.__setattr__(self, "inf", complex(self.inf))
+        object.__setattr__(self, "sig", self._PART(self.sig))
+        object.__setattr__(self, "inf", self._PART(self.inf))
 
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other) -> "DualComplex":
-        other = _coerce(other)
+    def __add__(self, other):
+        other = other if type(other) is type(self) else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return DualComplex(self.sig + other.sig, self.inf + other.inf)
+        return type(self)(self.sig + other.sig, self.inf + other.inf)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "DualComplex":
-        other = _coerce(other)
+    def __sub__(self, other):
+        other = other if type(other) is type(self) else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return DualComplex(self.sig - other.sig, self.inf - other.inf)
+        return type(self)(self.sig - other.sig, self.inf - other.inf)
 
-    def __rsub__(self, other) -> "DualComplex":
-        other = _coerce(other)
+    def __rsub__(self, other):
+        other = other if type(other) is type(self) else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return type(self)(other.sig - self.sig, other.inf - self.inf)
 
-    def __neg__(self) -> "DualComplex":
-        return DualComplex(-self.sig, -self.inf)
+    def __neg__(self):
+        return type(self)(-self.sig, -self.inf)
 
-    def __mul__(self, other) -> "DualComplex":
-        # eps^2 = 0: the product never reads inf*inf.
-        other = _coerce(other)
+    def __mul__(self, other):
+        other = other if type(other) is type(self) else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return DualComplex(
-            self.sig * other.sig,
-            self.inf * other.sig + self.sig * other.inf,
-        )
+        return type(self)(*_leibniz(operator.mul, self, other))
 
     __rmul__ = __mul__
 
+
+@dataclass(frozen=True)
+class DualComplex(DualNumber):
+    """z + t*eps with complex significant part z and infinitesimal part t."""
+
+    _PART = complex
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, DualReal):
+            return x.as_dual_complex()
+        if isinstance(x, (int, float, complex)):
+            return DualComplex(x)
+        return NotImplemented
+
     def __truediv__(self, other) -> "DualComplex":
-        other = _coerce(other)
+        other = other if type(other) is type(self) else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return div(self, other)
 
     def __rtruediv__(self, other) -> "DualComplex":
-        other = _coerce(other)
+        other = other if type(other) is type(self) else self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return div(other, self)
 
     def __pow__(self, n: int) -> "DualComplex":
         return pow_int(self, n)
-
-    # -- involutions and views -------------------------------------------
 
     def conj(self) -> "DualComplex":
         """The linear conjugation z* + t*eps."""
@@ -117,71 +139,40 @@ class DualComplex:
 
 
 @dataclass(frozen=True)
-class DualReal:
+class DualReal(DualNumber):
     """a + b*eps with real components, ordered lexicographically (eps > 0)."""
 
-    sig: float = 0.0
-    inf: float = 0.0
+    _PART = float
 
-    def __post_init__(self):
-        object.__setattr__(self, "sig", float(self.sig))
-        object.__setattr__(self, "inf", float(self.inf))
-
-    def __add__(self, other) -> "DualReal":
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DualReal(self.sig + other.sig, self.inf + other.inf)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "DualReal":
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DualReal(self.sig - other.sig, self.inf - other.inf)
-
-    def __rsub__(self, other) -> "DualReal":
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "DualReal":
-        return DualReal(-self.sig, -self.inf)
-
-    def __mul__(self, other) -> "DualReal":
-        other = _coerce_real(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DualReal(
-            self.sig * other.sig,
-            self.inf * other.sig + self.sig * other.inf,
-        )
-
-    __rmul__ = __mul__
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, (int, float)):
+            return DualReal(x)
+        return NotImplemented
 
     # -- order (exact on stored floats, no tolerance) --------------------
 
+    def _compare(self, other, op):
+        other = other if type(other) is type(self) else self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return op((self.sig, self.inf), (other.sig, other.inf))
+
     def __lt__(self, other) -> bool:
-        other = _coerce_real(other)
-        return (self.sig, self.inf) < (other.sig, other.inf)
+        return self._compare(other, operator.lt)
 
     def __le__(self, other) -> bool:
-        other = _coerce_real(other)
-        return (self.sig, self.inf) <= (other.sig, other.inf)
+        return self._compare(other, operator.le)
 
     def __gt__(self, other) -> bool:
-        other = _coerce_real(other)
-        return (self.sig, self.inf) > (other.sig, other.inf)
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other) -> bool:
-        other = _coerce_real(other)
-        return (self.sig, self.inf) >= (other.sig, other.inf)
+        return self._compare(other, operator.ge)
 
-    def sqrt(self, tau: float = TAU) -> "DualReal":
+    def sqrt(self) -> "DualReal":
         """Dual square root: sqrt(a) + b/(2 sqrt(a)) eps; a must be appreciable."""
-        if abs(self.sig) <= tau:
+        if abs(self.sig) <= TAU:
             raise RootOfInfinitesimal("sqrt of a non-appreciable dual real")
         if self.sig < 0:
             raise NegativeRoot(f"sqrt of the negative dual real {self}")
@@ -189,28 +180,10 @@ class DualReal:
         return DualReal(s, self.inf / (2.0 * s))
 
     def as_dual_complex(self) -> DualComplex:
-        return DualComplex(complex(self.sig), complex(self.inf))
+        return DualComplex(self.sig, self.inf)
 
     def __str__(self) -> str:
         return f"{self.sig!r} + ({self.inf!r})ε"
-
-
-def _coerce(x) -> DualComplex:
-    if isinstance(x, DualComplex):
-        return x
-    if isinstance(x, DualReal):
-        return x.as_dual_complex()
-    if isinstance(x, (int, float, complex)):
-        return DualComplex(complex(x))
-    return NotImplemented
-
-
-def _coerce_real(x) -> DualReal:
-    if isinstance(x, DualReal):
-        return x
-    if isinstance(x, (int, float)):
-        return DualReal(float(x))
-    return NotImplemented
 
 
 def _fmt_complex(z: complex) -> str:
@@ -219,11 +192,11 @@ def _fmt_complex(z: complex) -> str:
     return f"{re:g}{sign}{abs(im):g}i"
 
 
-def classify(w: DualComplex, tau: float = TAU) -> Classification:
-    """Trichotomy appreciable / infinitesimal / zero against the cutoff tau."""
-    if abs(w.sig) > tau:
+def classify(w: DualComplex) -> Classification:
+    """Trichotomy appreciable / infinitesimal / zero against the cutoff TAU."""
+    if abs(w.sig) > TAU:
         return Classification.APPRECIABLE
-    if abs(w.inf) > tau:
+    if abs(w.inf) > TAU:
         return Classification.INFINITESIMAL
     return Classification.ZERO
 
@@ -242,9 +215,9 @@ def compare(a: DualReal, b: DualReal) -> Ordering:
 # ---------------------------------------------------------------------------
 
 
-def div(a: DualComplex, b: DualComplex, tau: float = TAU) -> DualComplex:
+def div(a: DualComplex, b: DualComplex) -> DualComplex:
     """a/b for appreciable b: a.sig/b.sig + (b.sig a.inf - a.sig b.inf)/b.sig^2 eps."""
-    if abs(b.sig) <= tau:
+    if abs(b.sig) <= TAU:
         raise DivisorInfinitesimal(
             f"division by non-appreciable {b}: no unique inverse exists"
         )
@@ -253,9 +226,7 @@ def div(a: DualComplex, b: DualComplex, tau: float = TAU) -> DualComplex:
     return DualComplex(z, t)
 
 
-def div_infinitesimal_convention(
-    a: DualComplex, b: DualComplex, tau: float = TAU
-) -> DualComplex:
+def div_infinitesimal_convention(a: DualComplex, b: DualComplex) -> DualComplex:
     """Infinitesimal/infinitesimal division with the t' = 0 convention.
 
     The quotient of two infinitesimals is under-determined: any t'
@@ -263,7 +234,7 @@ def div_infinitesimal_convention(
     an inverse of anything; callers must not feed it back into division
     expecting ring identities to hold.
     """
-    if abs(b.inf) <= tau:
+    if abs(b.inf) <= TAU:
         raise BothPartsZero("divisor has both components (numerically) zero")
     return DualComplex(a.inf / b.inf, 0j)
 
@@ -283,14 +254,14 @@ def pow_int(w: DualComplex, n: int) -> DualComplex:
     return DualComplex(w.sig**n, n * w.sig ** (n - 1) * w.inf)
 
 
-def nth_root(w: DualComplex, n: int, k: int = 0, tau: float = TAU) -> DualComplex:
+def nth_root(w: DualComplex, n: int, k: int = 0) -> DualComplex:
     """k-th branch of the n-th root, with the branch synchronized between
     the base term and the denominator of the infinitesimal part."""
     if n < 1:
         raise ValueError("nth_root requires n >= 1")
     if not 0 <= k < n:
         raise ValueError(f"branch index k={k} out of range [0, {n})")
-    if abs(w.sig) <= tau:
+    if abs(w.sig) <= TAU:
         raise RootOfInfinitesimal("n-th root of a non-appreciable number")
     r = abs(w.sig) ** (1.0 / n)
     phi = (cmath.phase(w.sig) + 2.0 * math.pi * k) / n
@@ -298,8 +269,8 @@ def nth_root(w: DualComplex, n: int, k: int = 0, tau: float = TAU) -> DualComple
     return DualComplex(root, w.inf / (n * root ** (n - 1)))
 
 
-def sqrt_s(w: DualComplex, k: int = 0, tau: float = TAU) -> DualComplex:
-    return nth_root(w, 2, k, tau)
+def sqrt_s(w: DualComplex, k: int = 0) -> DualComplex:
+    return nth_root(w, 2, k)
 
 
 def extend_analytic(
@@ -317,9 +288,9 @@ def exp_s(w: DualComplex) -> DualComplex:
     return DualComplex(e, e * w.inf)
 
 
-def log_s(w: DualComplex, tau: float = TAU) -> DualComplex:
+def log_s(w: DualComplex) -> DualComplex:
     """Principal logarithm log(z) + (t/z) eps; requires w appreciable."""
-    if abs(w.sig) <= tau:
+    if abs(w.sig) <= TAU:
         raise LogOfInfinitesimal("log of a non-appreciable number")
     return DualComplex(cmath.log(w.sig), w.inf / w.sig)
 
@@ -341,7 +312,7 @@ def conj(w: DualComplex) -> DualComplex:
     return w.conj()
 
 
-def modulus(w: DualComplex, tau: float = TAU) -> DualReal:
+def modulus(w: DualComplex) -> DualReal:
     """|w| = |z| + Re(z* t)/|z| eps as an ordered dual real.
 
     The modulus of a nonzero infinitesimal is 0, but its infinitesimal
@@ -349,8 +320,8 @@ def modulus(w: DualComplex, tau: float = TAU) -> DualReal:
     the zero value.
     """
     r = abs(w.sig)
-    if r <= tau:
-        if abs(w.inf) > tau:
+    if r <= TAU:
+        if abs(w.inf) > TAU:
             raise ModulusOfInfinitesimal(
                 "modulus of a nonzero infinitesimal: value is 0, eps-part undefined",
                 value=DualReal(0.0, 0.0),

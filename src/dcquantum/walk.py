@@ -244,6 +244,8 @@ class CovarianceReport:
 
     @property
     def passed(self) -> bool:
+        if not math.isfinite(self.max_discrepancy):
+            return False
         if self.mode == "dual_exact":
             return self.max_discrepancy < 1e-12
         return self.fitted_order is None or 1.8 <= self.fitted_order <= 2.2
@@ -272,7 +274,7 @@ def _covariance_discrepancy(patch: LorentzPatch, gate: Callable[[float], DCMatri
 
     out_minus, out_plus = _gate_apply(entries(patch.m), psip, psim)
     diffs = [w - out_plus * sa for w in rights] + [w - out_minus * sb for w in lefts]
-    return max(max(abs(d.sig), abs(d.inf)) for d in diffs)
+    return float(np.max([(abs(d.sig), abs(d.inf)) for d in diffs]))  # NaN propagates
 
 
 def covariance_check(
@@ -287,7 +289,8 @@ def covariance_check(
     dual_exact mode runs over DualComplex amplitudes and must agree to
     1e-12 on both components.  corrected mode runs the complex-corrected
     gates at parameter h (inputs evaluated at eps = h) and fits the
-    order of the discrepancy D(h) ~ h^p over {h, h/2, h/4}.
+    order of the discrepancy D(h) ~ h^p over {h, h/2, h/4}; h must be
+    finite and > 0 there.  A non-finite discrepancy fails in both modes.
     """
     psip, psim = inputs
     if not isinstance(psip, DualComplex):
@@ -301,6 +304,8 @@ def covariance_check(
 
     if mode != "corrected":
         raise ValueError(f"unknown mode {mode!r}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"corrected mode needs a finite h > 0, got {h!r}")
 
     def at(hh: float) -> float:  # the eps-parts of every amplitude stay 0
         return _covariance_discrepancy(

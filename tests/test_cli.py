@@ -318,6 +318,65 @@ class TestConvergenceCommand:
             assert 1.6 < r < 2.4
 
 
+
+_BAD_FLAGS = [
+    (["check", "covariance", "--mass", "nan"], "--mass"),
+    (["check", "covariance", "--mass", "inf"], "--mass"),
+    (["check", "covariance", "--mode", "corrected", "--h", "0"], "--h"),
+    (["check", "covariance", "--mode", "corrected", "--h", "-0.01"], "--h"),
+    (["check", "covariance", "--mode", "corrected", "--h", "nan"], "--h"),
+    (["check", "covariance", "--mode", "corrected", "--h", "inf"], "--h"),
+    (["check", "unitary"], "--in"),
+    (["check", "spectrum"], "--in"),
+    (["check", "semipositive", "--in", "{diag}", "--trials", "0"], "--trials"),
+    (["check", "semipositive", "--in", "{diag}", "--trials", "-5"], "--trials"),
+    (["translate", "--correct", "--h", "nan", "--in", "{gate}", "--out", "{out}"], "--h"),
+    (["translate", "--correct", "--h", "inf", "--in", "{gate}", "--out", "{out}"], "--h"),
+    (["convergence", "--walk", "--wavenumber", "nan"], "--wavenumber"),
+    (["convergence", "--mass", "nan"], "--mass"),
+    (["convergence", "--walk", "--mass", "inf"], "--mass"),
+    (["convergence", "--h-list", "1e-2", "0"], "--h-list"),
+    (["convergence", "--h-list", "nan"], "--h-list"),
+    (["--rtol", "nan", "check", "unitary", "--in", "{gate}"], "--rtol"),
+    (["--rtol", "-1", "check", "unitary", "--in", "{gate}"], "--rtol"),
+    (["--tau", "nan", "check", "semipositive", "--in", "{diag}"], "--tau"),
+    (["--tau", "-1", "check", "semipositive", "--in", "{diag}"], "--tau"),
+    (["--delta", "nan", "check", "spectrum", "--in", "{gate}"], "--delta"),
+    (["--delta", "-1", "check", "spectrum", "--in", "{gate}"], "--delta"),
+    (["--seed", "-1", "check", "covariance"], "--seed"),
+]
+
+
+class TestFlagRanges:
+    """A numeric flag out of range, or a missing --in, is a usage error:
+    exit 2, a message naming the flag, nothing on stdout and no output
+    file."""
+
+    @pytest.mark.parametrize("argv, flag", _BAD_FLAGS,
+                             ids=[" ".join(a) for a, _ in _BAD_FLAGS])
+    def test_usage_error(self, tmp_path, capsys, argv, flag):
+        files = {"gate": write_unitary(tmp_path / "g.json", dirac_gate(0.7)),
+                 "diag": write_unitary(tmp_path / "p.json", DCMatrix(np.diag([1.0, 2.0]))),
+                 "out": str(tmp_path / "o.json")}
+        assert main([a.format(**files) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+        assert not (tmp_path / "o.json").exists()
+
+    def test_h_is_not_read_in_dual_mode(self, capsys):
+        assert main(["check", "covariance", "--h", "0", "--trials", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_zero_tolerances_are_accepted(self, tmp_path, capsys):
+        gate = write_unitary(tmp_path / "g.json", dirac_gate(0.7))
+        herm = write_unitary(tmp_path / "h.json", DCMatrix(SZ, SZ))
+        diag = write_unitary(tmp_path / "p.json", DCMatrix(np.diag([1.0, 2.0])))
+        assert main(["--delta", "0", "check", "spectrum", "--in", gate]) == 0
+        assert main(["--rtol", "0", "check", "hermitian", "--in", herm]) == 0
+        assert main(["--tau", "0", "--seed", "0", "check", "semipositive", "--in", diag,
+                     "--trials", "1"]) == 0
+        capsys.readouterr()
+
 def test_console_script_help():
     out = subprocess.run([sys.executable, "-m", "dcquantum.cli", "--help"],
                          capture_output=True, text=True)

@@ -5,6 +5,7 @@ import scipy.linalg
 from conftest import (
     mat_exp_series,
     random_complex_hermitian,
+    random_dc_hermitian,
     random_dc_unitary,
     random_dc_vector,
 )
@@ -16,6 +17,8 @@ from dcquantum.linalg import (
     classify_op,
     decompose_unitary,
     divide_vector,
+    eig_hermitian,
+    eig_unitary,
     inner,
     kron,
     mat_exp,
@@ -247,3 +250,94 @@ def test_divide_vector_inverts_scale():
     back = divide_vector(v.scale(w), w)
     assert np.abs(back.sig - v.sig).max() < 1e-12
     assert np.abs(back.inf - v.inf).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference products: the hand-written formulas that the one Leibniz rule
+# replaced.  Signed zeros in the operands make a reordered term show.
+# ---------------------------------------------------------------------------
+
+
+def _with_signed_zeros(a):
+    a = a.copy()
+    a.flat[::3] = complex(-0.0, -0.0)
+    a.flat[1::4] = complex(0.0, -0.0)
+    return a
+
+
+def _random_parts(rng, shape):
+    return [_with_signed_zeros(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(2)]
+
+
+def _same_bits(got, sig, inf):
+    return (np.asarray(got.sig).tobytes() == np.asarray(sig).tobytes()
+            and np.asarray(got.inf).tobytes() == np.asarray(inf).tobytes())
+
+
+class TestProductRuleBitIdentical:
+    def test_matmul_with_matrix_and_vector(self, rng):
+        a = DCMatrix(*_random_parts(rng, (5, 4)))
+        for b in (DCMatrix(*_random_parts(rng, (4, 3))), DCVector(*_random_parts(rng, (4,)))):
+            got = a @ b
+            assert type(got) is type(b)
+            assert _same_bits(got, a.sig @ b.sig, a.sig @ b.inf + a.inf @ b.sig)
+
+    @pytest.mark.parametrize("w", [DualComplex(0.5 - 1j, 2.0),
+                                   DualComplex(complex(-0.0, 1.0), complex(-0.0, -0.0)),
+                                   DualReal(2.0, -3.0), DualReal(-1.5, -0.0),
+                                   3j, complex(-0.0, 2.0)],
+                             ids=["dc", "dc-zeros", "dr", "dr-zeros", "complex", "complex-zeros"])
+    def test_scale(self, w, rng):
+        for a in (DCMatrix(*_random_parts(rng, (3, 4))), DCVector(*_random_parts(rng, (5,)))):
+            got = a.scale(w)
+            ref = DualComplex(complex(w.sig), complex(w.inf)) if isinstance(w, DualReal) else w
+            if isinstance(ref, DualComplex):
+                sig, inf = ref.sig * a.sig, ref.sig * a.inf + ref.inf * a.sig
+            else:
+                sig, inf = ref * a.sig, ref * a.inf
+            assert type(got) is type(a) and _same_bits(got, sig, inf)
+
+    def test_inner(self, rng):
+        u, v = DCVector(*_random_parts(rng, (6,))), DCVector(*_random_parts(rng, (6,)))
+        got = inner(u, v)
+        want = DualComplex(np.vdot(u.sig, v.sig), np.vdot(u.sig, v.inf) + np.vdot(u.inf, v.sig))
+        assert repr(got) == repr(want)
+
+    def test_kron(self, rng):
+        for shape_a, shape_b in (((3,), (2,)), ((2, 3), (3, 2))):
+            cls = DCVector if len(shape_a) == 1 else DCMatrix
+            a, b = cls(*_random_parts(rng, shape_a)), cls(*_random_parts(rng, shape_b))
+            got = kron(a, b)
+            assert type(got) is cls
+            assert _same_bits(got, np.kron(a.sig, b.sig),
+                              np.kron(a.sig, b.inf) + np.kron(a.inf, b.sig))
+
+
+def _reference_reconstruct(spec):
+    """The four-term form of P diag(values) P^dag."""
+    lam = np.array([v.sig for v in spec.values])
+    mu = np.array([v.inf for v in spec.values])
+    p0, p1 = spec.basis_sig, spec.basis_inf
+    sig = (p0 * lam) @ p0.conj().T
+    inf = (p0 * mu) @ p0.conj().T + (p1 * lam) @ p0.conj().T + (p0 * lam) @ p1.conj().T
+    return sig, inf
+
+
+class TestSpectrumInRingForm:
+    @pytest.mark.parametrize("n", [2, 7, 32])
+    def test_reconstruct_matches_the_four_term_form(self, n, rng):
+        for spec in (eig_hermitian(random_dc_hermitian(n, rng)),
+                     eig_unitary(random_dc_unitary(n, rng, degenerate=True))):
+            got = spec.reconstruct()
+            sig, inf = _reference_reconstruct(spec)
+            assert got.sig.tobytes() == sig.tobytes()
+            assert np.abs(got.inf - inf).max() <= 1e-13
+
+    def test_values_are_a_dual_vector_of_dual_complex_items(self, rng):
+        for spec in (eig_hermitian(random_dc_hermitian(4, rng)),
+                     eig_unitary(random_dc_unitary(4, rng))):
+            assert isinstance(spec.values, DCVector) and len(spec.values) == 4
+            items = list(spec.values)
+            assert len(items) == 4 and all(type(v) is DualComplex for v in items)
+            assert repr(spec.values[-1]) == repr(items[-1])

@@ -16,6 +16,7 @@ from dcquantum.errors import (
 from dcquantum.scalar import (
     Classification,
     DualComplex,
+    DualNumber,
     DualReal,
     classify,
     cos_s,
@@ -225,3 +226,103 @@ def test_classification():
 
 def test_text_rendering():
     assert "ε" in str(DualComplex(1 + 2j, 3 - 4j))
+
+
+# ---------------------------------------------------------------------------
+# Reference ring: the hand-written per-class formulas that DualNumber and
+# the one Leibniz rule replaced.  The fold must reproduce them to the bit.
+# ---------------------------------------------------------------------------
+
+
+def _reference_coerce(x, real: bool):
+    """(sig, inf) of an operand as the reference DualReal (real=True) or
+    DualComplex would coerce it, or None where it returns NotImplemented."""
+    if real:
+        if isinstance(x, DualReal):
+            return x.sig, x.inf
+        if isinstance(x, (int, float)):
+            return float(x), 0.0
+        return None
+    if isinstance(x, DualComplex):
+        return x.sig, x.inf
+    if isinstance(x, DualReal):
+        return complex(x.sig), complex(x.inf)
+    if isinstance(x, (int, float, complex)):
+        return complex(x), 0j
+    return None
+
+
+def _reference_op(name, a, b):
+    real = not (isinstance(a, DualComplex) or isinstance(b, DualComplex))
+    x, y = _reference_coerce(a, real), _reference_coerce(b, real)
+    if x is None or y is None:
+        return TypeError
+    cls = DualReal if real else DualComplex
+    if name == "add":
+        return cls(x[0] + y[0], x[1] + y[1])
+    if name == "sub":
+        return cls(x[0] - y[0], x[1] - y[1])
+    return cls(x[0] * y[0], x[1] * y[0] + x[0] * y[1])
+
+
+_NZ = -0.0
+_RING_OPERANDS = [
+    DualComplex(1 + 2j, 3 - 4j), DualComplex(complex(_NZ, _NZ), complex(_NZ, 0.0)),
+    DualComplex(complex(-1.5, _NZ), complex(_NZ, 2.0)),
+    DualReal(2.0, -3.0), DualReal(_NZ, _NZ), DualReal(-1.25, _NZ),
+    3, 0, True, 1.5, _NZ, 2 - 3j, complex(_NZ, _NZ), complex(_NZ, 1.0),
+]
+_RING_OPS = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+             "mul": lambda a, b: a * b}
+
+
+class TestRingFoldBitIdentical:
+    @pytest.mark.parametrize("name", sorted(_RING_OPS))
+    def test_binary_operations_both_orders(self, name):
+        op = _RING_OPS[name]
+        checked = 0
+        for a in _RING_OPERANDS:
+            for b in _RING_OPERANDS:
+                if not (isinstance(a, (DualComplex, DualReal))
+                        or isinstance(b, (DualComplex, DualReal))):
+                    continue
+                want = _reference_op(name, a, b)
+                if want is TypeError:
+                    with pytest.raises(TypeError):
+                        op(a, b)
+                    continue
+                got = op(a, b)
+                assert type(got) is type(want) and repr(got) == repr(want), (a, b)
+                checked += 1
+        assert checked > 100
+
+    def test_negation(self):
+        for w in _RING_OPERANDS[:6]:
+            assert repr(-w) == repr(type(w)(-w.sig, -w.inf))
+
+    def test_dual_real_plus_complex_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            DualReal(1) + 1j
+        with pytest.raises(TypeError):
+            1j * DualReal(1)
+
+    def test_ring_methods_live_in_the_base(self):
+        for cls in (DualComplex, DualReal):
+            assert not {"__add__", "__sub__", "__mul__"} & set(vars(cls))
+            assert issubclass(cls, DualNumber)
+
+
+class TestDualRealOrderOperands:
+    @pytest.mark.parametrize("other", [DualComplex(1), "x", None, 1j],
+                             ids=["dual-complex", "str", "none", "complex"])
+    def test_non_real_operand_is_a_type_error(self, other):
+        for op in (lambda a, b: a < b, lambda a, b: a <= b,
+                   lambda a, b: a > b, lambda a, b: a >= b):
+            with pytest.raises(TypeError):
+                op(DualReal(1.0), other)
+            with pytest.raises(TypeError):
+                op(other, DualReal(1.0))
+
+    def test_real_operands_still_compare(self):
+        assert DualReal(1.0) < 2 and 2 > DualReal(1.0)
+        assert DualReal(1.0, -1.0) < DualReal(1.0) <= 1.0 <= DualReal(1.0)

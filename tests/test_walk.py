@@ -235,6 +235,22 @@ class TestLorentz:
         with pytest.raises(ValueError):
             covariance_check(p, (DualComplex(1), DualComplex(0)), mode="nope")
 
+    @pytest.mark.parametrize("h", [0.0, -1e-2, math.nan, math.inf])
+    def test_corrected_mode_rejects_bad_h(self, h):
+        p = lorentz_encodings(2, 2)
+        with pytest.raises(ValueError, match="finite h > 0"):
+            covariance_check(p, (DualComplex(0.5), DualComplex(0.3)), mode="corrected", h=h)
+
+    @pytest.mark.parametrize("mode, mass", [("dual_exact", math.nan), ("dual_exact", math.inf),
+                                            ("corrected", math.nan)])
+    def test_non_finite_discrepancy_fails(self, mode, mass):
+        # a NaN eps-part once dropped out of the reduction, so the check
+        # reported 0.0 and passed
+        p = lorentz_encodings(2, 3, m=mass)
+        rep = covariance_check(p, (DualComplex(0.6, 0.1), DualComplex(0.3j)), mode=mode)
+        assert math.isnan(rep.max_discrepancy)
+        assert not rep.passed
+
     def test_wire_values_single_left_mover(self):
         # one left-moving unit amplitude through a 1 x 3 patch: each output
         # right wire keeps a_i plus an infinitesimal -i m' psi-/sqrt(3)
