@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import scalar, serialize
-from .errors import DCError, MalformedInput
+from .errors import DCError, MalformedInput, MalformedShape
 from .linalg import (
     CLUSTER_DELTA,
     DCMatrix,
@@ -58,15 +58,18 @@ def _require(ok: bool, message: str) -> None:
 
 def _load_json(path: str):
     try:
-        with open(path) as f:
-            return json.load(f)
+        with open(path, "rb") as f:
+            return json.loads(f.read().decode("utf-8"))
     except json.JSONDecodeError as e:
-        print(f"error: {path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}",
-              file=sys.stderr)
-        raise SystemExit(USAGE)
+        message = f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+    except UnicodeDecodeError as e:
+        message = f"not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}"
+    except RecursionError:
+        message = "nested too deeply for the JSON decoder"
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(USAGE)
+        message = e.strerror
+    print(f"error: {path}: {message}", file=sys.stderr)
+    raise SystemExit(USAGE)
 
 
 def _write_report(report: dict, path):
@@ -126,7 +129,8 @@ def cmd_check(args) -> int:
             amp = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             amp /= np.linalg.norm(amp)
             reports.append(covariance_check(patch, (amp[0], amp[1]), mode=mode, h=args.h))
-        worst = max(reports, key=lambda r: r.max_discrepancy)  # the first of equals
+        # a failing trial first, then the largest discrepancy; the first of equals
+        worst = max(reports, key=lambda r: (not r.passed, r.max_discrepancy))
         report = {"check": "covariance", **dataclasses.asdict(worst), "pass": worst.passed}
         _write_report(report, args.out)
         return PASS if worst.passed else FAIL
@@ -134,7 +138,7 @@ def cmd_check(args) -> int:
     _require(args.input is not None, f"check {args.what} needs --in")
     obj = serialize.tagged_from_json(_load_json(args.input))
     if isinstance(obj, Measurement):
-        print("error: check expects a unitary/matrix file", file=sys.stderr)
+        print(f"error: {args.input}: check expects a unitary/matrix file", file=sys.stderr)
         return USAGE
     if isinstance(obj, DCMatrix):
         m = obj
@@ -147,8 +151,7 @@ def cmd_check(args) -> int:
     elif args.what == "spectrum":
         ok, worst = _check_spectrum(m, args.rtol, args.delta)
     else:  # semipositive; argparse restricts the choices
-        rep = check_appreciably_semipositive(m, trials=args.trials, seed=args.seed,
-                                             tau=args.tau)
+        rep = check_appreciably_semipositive(m, args.tau)
         ok, worst = rep.passed, rep.worst_violation
 
     report = {"check": args.what, "pass": bool(ok), "worst_residual": worst}
@@ -175,6 +178,11 @@ def _extend_from_family(data, step_default: float):
             raise MalformedInput(f"{key}: expected a non-empty list of matrices")
         sampled.append([serialize.matrix_from_json(m, f"{key}[{i}]").sig
                         for i, m in enumerate(mats)])
+        shape = sampled[0][0].shape
+        for i, m in enumerate(sampled[-1]):
+            if m.shape != shape:
+                raise MalformedShape(f"{key}[{i}]: expected a {shape[0]}x{shape[1]} matrix "
+                                     f"like at_zero[0], got {m.shape[0]}x{m.shape[1]}")
     zero, plus, minus = sampled
     if not len(zero) == len(plus) == len(minus):
         raise MalformedInput("at_zero, at_plus and at_minus differ in length")
@@ -192,7 +200,7 @@ def cmd_translate(args) -> int:
     data = _load_json(args.input)
     if args.extend:
         if not isinstance(data, dict) or data.get("kind") != "family":
-            print("error: --extend expects a family file", file=sys.stderr)
+            print(f"error: {args.input}: --extend expects a family file", file=sys.stderr)
             return USAGE
         out = _extend_from_family(data, args.h or 1e-6)
         serialize.dump_json(out, args.out)
@@ -208,7 +216,8 @@ def cmd_translate(args) -> int:
             Measurement(tuple(DCMatrix(m) for m in mats), obj.labels)
         )
     else:
-        print("error: translate expects a unitary or measurement file", file=sys.stderr)
+        print(f"error: {args.input}: translate expects a unitary or measurement file",
+              file=sys.stderr)
         return USAGE
     serialize.dump_json(out, args.out)
     return PASS
@@ -260,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="eigenvalue clustering threshold; read only by check spectrum")
     parser.add_argument("--rtol", type=float, default=1e-8,
                         help="residual tolerance of check unitary, hermitian and spectrum")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="read only by check covariance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("walk", help="run the Dirac quantum walk")
@@ -276,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "semipositive", "covariance"])
     p.add_argument("--in", dest="input", help="tagged JSON input file")
     p.add_argument("--out")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=int, default=50, help="read only by check covariance")
     p.add_argument("--alpha", type=int, default=1)
     p.add_argument("--beta", type=int, default=1)
     p.add_argument("--mass", type=float, default=1.0)

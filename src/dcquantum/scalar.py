@@ -53,13 +53,14 @@ def _leibniz(f, a, b):
     return f(a.sig, b.sig), f(a.sig, b.inf) + f(a.inf, b.sig)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualNumber:
     """sig + inf*eps: the ring operations DualComplex and DualReal share.
 
     A subclass names the type of its parts in ``_PART`` and converts the
     operands of other types that it accepts in ``_coerce``, which returns
-    NotImplemented for any other operand.
+    NotImplemented for any other operand.  Equality coerces the same way,
+    so DualReal(1) == DualComplex(1) == 1, and equal values hash equal.
     """
 
     sig: complex = 0
@@ -92,6 +93,16 @@ class DualNumber:
     def __neg__(self):
         return type(self)(-self.sig, -self.inf)
 
+    def __eq__(self, other):
+        other = other if type(other) is type(self) else self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.sig == other.sig and self.inf == other.inf
+
+    def __hash__(self):
+        # a value with no eps-part hashes as its sig-part, as it compares
+        return hash(self.sig) if self.inf == 0 else hash((self.sig, self.inf))
+
     def __mul__(self, other):
         other = other if type(other) is type(self) else self._coerce(other)
         if other is NotImplemented:
@@ -101,7 +112,7 @@ class DualNumber:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualComplex(DualNumber):
     """z + t*eps with complex significant part z and infinitesimal part t."""
 
@@ -138,7 +149,7 @@ class DualComplex(DualNumber):
         return f"{_fmt_complex(self.sig)} + ({_fmt_complex(self.inf)})ε"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualReal(DualNumber):
     """a + b*eps with real components, ordered lexicographically (eps > 0)."""
 

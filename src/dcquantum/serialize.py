@@ -142,8 +142,12 @@ def tagged_from_json(data):
         ops, labels = require(data, "operators"), require(data, "labels")
         if type(ops) is not list or not ops or type(labels) is not list:
             raise MalformedInput("operators and labels must be lists, operators non-empty")
-        return Measurement(tuple(matrix_from_json(op, f"operators[{i}]")
-                                 for i, op in enumerate(ops)), tuple(labels))
+        ops = tuple(matrix_from_json(op, f"operators[{i}]") for i, op in enumerate(ops))
+        for i, op in enumerate(ops):
+            if op.cols != ops[0].cols:
+                raise MalformedShape(f"operators[{i}]: expected {ops[0].cols} columns "
+                                     f"like operators[0], got {op.cols}")
+        return Measurement(ops, tuple(labels))
     raise MalformedInput(f"unknown kind tag: {kind!r}")
 
 

@@ -1,14 +1,19 @@
 """End-to-end tests of the dcq command line."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dcquantum
 from dcquantum import serialize
@@ -96,6 +101,14 @@ class TestCheckCommand:
         assert main(["check", "semipositive", "--in", path, "--trials", "40"]) == 0
         capsys.readouterr()
 
+    def test_semipositive_bad_eps_part_on_kernel_fails(self, tmp_path, capsys):
+        # psi = e_2 gives <psi|E|psi> = 0 - eps
+        m = DCMatrix(np.diag([1.0, 0.0]), np.diag([0.0, -1.0]))
+        path = write_unitary(tmp_path / "p.json", m)
+        assert main(["check", "semipositive", "--in", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"check": "semipositive", "pass": False, "worst_residual": 1.0}
+
     def test_covariance_dual(self, capsys):
         rc = main(["check", "covariance", "--alpha", "2", "--beta", "3",
                    "--trials", "5"])
@@ -109,6 +122,21 @@ class TestCheckCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert 1.8 <= report["fitted_order"] <= 2.2
+
+    def test_covariance_corrected_readme_example(self, capsys):
+        assert main(["check", "covariance", "--alpha", "2", "--beta", "3",
+                     "--mode", "corrected", "--h", "1e-2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True
+        assert report["fitted_order"] == pytest.approx(2.0, abs=0.01)
+
+    @pytest.mark.parametrize("argv", [["--h", "1e-9"], ["--h", "1e-6", "--trials", "1"]])
+    def test_covariance_corrected_below_fit_floor_fails(self, capsys, argv):
+        # discrepancies of 2e-16 and 1.5e-13: too small to fit an order
+        rc = main(["--seed", "3", "check", "covariance", "--alpha", "2", "--beta", "3",
+                   "--mode", "corrected", *argv])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1 and report["pass"] is False
 
     @pytest.mark.parametrize("flag", ["--trials", "--alpha", "--beta"])
     @pytest.mark.parametrize("mode", ["dual", "corrected"])
@@ -165,6 +193,25 @@ class TestMalformedInput:
         assert f"error: {path}: {located}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("content, located", [
+        (b'{"kind": "unitary", "matrix": "\xe9"}', "not UTF-8"),
+        (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+    ], ids=["latin-1", "deep"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, content, located):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "unitary", "--in", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: {located}" in captured.err and captured.out == ""
+
+    def test_check_of_a_measurement_names_the_file(self, tmp_path, capsys):
+        meas = Measurement((DCMatrix(np.diag([1.0, 0.0])), DCMatrix(np.diag([0.0, 1.0]))))
+        path = _write_doc(tmp_path / "m.json", serialize.measurement_to_json(meas))
+        assert main(["check", "hermitian", "--in", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_wrong_entry_count_exits_2(self, tmp_path, capsys):
         doc = serialize.unitary_to_json(dirac_gate(0.7))
         del doc["matrix"]["entries"][1:]
@@ -215,6 +262,80 @@ class TestMalformedInput:
         assert main(["--rtol", "1e-10", "check", "unitary", "--in", path]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["worst_residual"] == pytest.approx(8e-10, rel=1e-6)
+
+
+def _valid_inputs():
+    """One valid file of each kind the CLI reads, as dump_json writes it,
+    with each command that reads it, short of its --in."""
+    step = 1e-3
+    family = {"kind": "family", "step": step, **{
+        key: [serialize.matrix_to_json(DCMatrix(scipy.linalg.expm(1j * h * SZ)))]
+        for key, h in (("at_minus", -step), ("at_zero", 0.0), ("at_plus", step))}}
+    docs = {
+        "unitary": serialize.unitary_to_json(dirac_gate(0.7)),
+        "state": serialize.state_to_json(
+            normalize(DCVector(np.array([0.6, 0.8j]), np.array([0.25, -0.5j])))),
+        "measurement": serialize.measurement_to_json(Measurement(
+            (DCMatrix(np.diag([1.0, 0.0])), DCMatrix(np.diag([0.0, 1.0]), SZ * 1j)))),
+        "family": family,
+    }
+    translate = ["translate", "--correct", "--h", "0.05", "--out", "{out}"]
+    commands = {
+        "unitary": [["check", "unitary"], ["check", "spectrum"], ["check", "semipositive"],
+                    translate],
+        "state": [["check", "unitary"], ["check", "semipositive"]],
+        "measurement": [translate],
+        "family": [["translate", "--extend", "--out", "{out}"]],
+    }
+    return [(json.dumps(doc, indent=1).encode() + b"\n", argv)
+            for kind, doc in docs.items() for argv in commands[kind]]
+
+
+_VALID_INPUTS = _valid_inputs()
+
+
+@st.composite
+def _corrupted(draw):
+    content, argv = draw(st.sampled_from(_VALID_INPUTS))
+    at = draw(st.integers(0, len(content) - 1))
+    how = draw(st.sampled_from(["flip", "truncate", "insert"]))
+    if how == "truncate":
+        return content[:at], argv
+    byte = bytes([draw(st.integers(0, 255))])
+    return content[:at] + byte + content[at + (how == "flip"):], argv
+
+
+class TestCorruptedFiles:
+    """A valid input file with one byte flipped, inserted or cut off ends
+    in exit 0, 1 or 2, never in a traceback; an exit of 2 names the file."""
+
+    def test_valid_inputs_are_accepted(self):
+        for content, argv in _VALID_INPUTS:
+            assert self._run(content, argv)[0] in (0, 1)
+
+    @staticmethod
+    def _run(content, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.json")
+            with open(path, "wb") as f:
+                f.write(content)
+            out = os.path.join(tmp, "out.json")
+            argv = [a.format(out=out) for a in argv] + ["--in", path]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as e:
+                    rc = e.code
+            return rc, err.getvalue(), path
+
+    @settings(max_examples=300, deadline=None)
+    @given(_corrupted())
+    def test_corruption_never_escapes(self, case):
+        rc, err, path = self._run(*case)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.startswith(f"error: {path}: ")
 
 
 class TestTranslateCommand:
@@ -270,6 +391,8 @@ class TestTranslateCommand:
         (lambda f: f["at_minus"].clear(), "at_minus: expected a non-empty list"),
         (lambda f: f["at_zero"][0]["entries"][0].__setitem__(0, "x"), "at_zero[0].entries[0]"),
         (lambda f: f.__setitem__("step", "small"), "step: expected a positive number"),
+        (lambda f: f["at_plus"].__setitem__(0, serialize.matrix_to_json(DCMatrix(np.eye(3)))),
+         "at_plus[0]: expected a 2x2 matrix like at_zero[0], got 3x3"),
     ])
     def test_extend_rejects_malformed_family(self, tmp_path, capsys, edit, located):
         def eye():

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dcquantum.scalar import DualReal, Ordering, compare
+from dcquantum.scalar import DualComplex, DualReal, Ordering, compare
 
 # dyadic rationals in a bounded range: +, * stay exact in float64, so the
 # algebraic order properties below hold without rounding caveats
@@ -49,3 +49,31 @@ def test_totality_and_antisymmetry(a, b):
 def test_infinitesimal_square_is_exactly_zero():
     w = DualReal(0, 7.3)
     assert (w * w) == DualReal(0.0, 0.0)
+
+
+def test_equality_coerces_like_the_arithmetic():
+    assert DualReal(1) == 1 and 1 == DualReal(1)
+    assert DualComplex(1) == 1 and DualComplex(1j) == 1j
+    assert DualReal(1) == DualComplex(1) and DualComplex(1, 2) == DualReal(1, 2)
+    assert DualReal(1, 2) != 1 and DualComplex(1) != DualComplex(1, 1e-300)
+    assert DualReal(1) != "1"
+
+
+def test_equal_values_hash_equal():
+    assert hash(DualReal(1.0)) == hash(1) == hash(DualComplex(1))
+    assert hash(DualReal(-0.0, 0.0)) == hash(DualReal(0.0, -0.0))
+    assert hash(DualReal(0.5, 2)) == hash(DualComplex(0.5, 2))
+    assert len({DualReal(1), DualComplex(1), 1, 1.0}) == 1
+
+
+# dyadic values hit equality often; arbitrary floats bring -0.0, infinities
+# and subnormals
+any_dual_real = st.one_of(dual_real, st.builds(DualReal, st.floats(allow_nan=False),
+                                               st.floats(allow_nan=False)))
+
+
+@given(any_dual_real, any_dual_real)
+def test_equality_is_the_order_s_equality(a, b):
+    assert (a == b) == (compare(a, b) is Ordering.EQ)
+    if a == b:
+        assert hash(a) == hash(b)

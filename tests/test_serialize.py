@@ -169,6 +169,10 @@ class TestMatrixRejectsMalformed:
         ({"kind": "measurement", "operators": [], "labels": []}, "operators and labels"),
         ({"kind": "mystery"}, "unknown kind tag: 'mystery'"),
         ([], "expected an object, got list"),
+        ({"kind": "measurement", "labels": [0, 1], "operators": [
+            {"rows": 2, "cols": 2, "entries": [[1, 0, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0]]},
+            {"rows": 3, "cols": 3, "entries": [[0] * 4] * 9}]},
+         "operators[1]: expected 2 columns like operators[0], got 3"),
     ])
     def test_tagged_structure(self, doc, message):
         with pytest.raises(MalformedInput, match=f"^{re.escape(message)}"):

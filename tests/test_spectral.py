@@ -1,5 +1,7 @@
 """Spectral decompositions, unitary logarithm, semipositivity, dilation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,24 +162,92 @@ class TestLogUnitary:
         assert np.abs(l.inf - 1j * h_eps.inf).max() < 1e-8
 
 
+def _rotated_kernel_counterexample():
+    """U diag(1, 0, 2) U^dag + eps U J U^dag: the -1e-3 entry of J sits on
+    the kernel of the sig-part and is coupled to its range."""
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    j = np.array([[0.4, 0.3, 0.1], [0.3, -1e-3, 0.5], [0.1, 0.5, -0.2]], dtype=complex)
+    return DCMatrix(u @ np.diag([1.0, 0.0, 2.0]) @ u.conj().T, u @ j @ u.conj().T)
+
+
+# Each passes a random-sampling check: a random psi almost never lies in
+# ker E_0, where the bad eps-part lives.
+KERNEL_COUNTEREXAMPLES = {
+    "negative-eps-on-kernel": DCMatrix(np.diag([1.0, 0.0]), np.diag([0.0, -1.0])),
+    "positive-eps-on-kernel": DCMatrix(np.diag([1.0, 0.0]), np.diag([0.0, 1e-3])),
+    "rotated-3x3": _rotated_kernel_counterexample(),
+}
+
+
+def _all_permutations(e):
+    """E in every reordering of its basis."""
+    for perm in itertools.permutations(range(e.rows)):
+        idx = np.ix_(perm, perm)
+        yield DCMatrix(e.sig[idx], e.inf[idx])
+
+
 class TestSemipositivity:
     def test_gram_operator_passes(self, rng):
         m = DCMatrix(
             rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
             rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
         )
-        rep = check_appreciably_semipositive(m.adjoint() @ m, trials=50, seed=3)
+        rep = check_appreciably_semipositive(m.adjoint() @ m)
         assert rep.passed
 
     def test_purely_infinitesimal_operator_fails(self):
-        rep = check_appreciably_semipositive(DCMatrix(np.zeros((2, 2)), SX),
-                                             trials=50, seed=3)
+        rep = check_appreciably_semipositive(DCMatrix(np.zeros((2, 2)), SX))
         assert not rep.passed
         assert rep.worst_violation > 0
 
     def test_zero_operator_passes(self):
-        rep = check_appreciably_semipositive(DCMatrix.zeros(3), trials=20, seed=0)
+        rep = check_appreciably_semipositive(DCMatrix.zeros(3))
         assert rep.passed
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_COUNTEREXAMPLES))
+    def test_bad_eps_part_on_kernel_fails_with_witness(self, name):
+        e = KERNEL_COUNTEREXAMPLES[name]
+        rep = check_appreciably_semipositive(e)
+        assert not rep.passed
+        assert abs(rep.worst_value.sig) <= 1e-12 and abs(rep.worst_value.inf) > 1e-12
+        assert rep.worst_violation == pytest.approx(abs(rep.worst_value.inf))
+        q = inner(rep.witness, e @ rep.witness)
+        assert abs(q.sig - rep.worst_value.sig) < 1e-12
+        assert abs(q.inf - rep.worst_value.inf) < 1e-12
+        assert float(np.linalg.norm(rep.witness.sig)) == pytest.approx(1.0)
+        assert not rep.witness.inf.any()
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_COUNTEREXAMPLES))
+    def test_verdict_is_basis_order_independent(self, name):
+        for e in _all_permutations(KERNEL_COUNTEREXAMPLES[name]):
+            assert not check_appreciably_semipositive(e).passed
+
+    def test_gram_operator_with_rank_deficient_sig_part_passes(self, rng):
+        # E = M^dag M is admissible for every M: on ker M_0 its eps-part
+        # M_0^dag M_1 + M_1^dag M_0 vanishes
+        v = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+        w = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+        m1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        e = DCMatrix(v @ w, m1).adjoint() @ DCMatrix(v @ w, m1)
+        assert check_appreciably_semipositive(e).witness is None
+        for permuted in _all_permutations(e):
+            assert check_appreciably_semipositive(permuted).passed
+
+    def test_appreciably_positive_with_indefinite_eps_part_passes(self):
+        assert check_appreciably_semipositive(DCMatrix(np.diag([1.0, 2.0]), SZ)).passed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_fails(self, bad):
+        rep = check_appreciably_semipositive(DCMatrix(np.eye(2), np.diag([0.0, bad])))
+        assert not rep.passed and np.isnan(rep.worst_violation)
+
+    def test_negative_eigenvalue_fails_with_witness(self):
+        e = DCMatrix(np.diag([1.0, -0.5]), SZ)
+        rep = check_appreciably_semipositive(e)
+        assert not rep.passed and rep.worst_violation == 0.5
+        q = inner(rep.witness, e @ rep.witness)
+        assert (q.sig, q.inf) == (-0.5, -1.0)
 
 
 class TestStinespring:

@@ -230,6 +230,23 @@ class TestLorentz:
         assert rep.fitted_order == pytest.approx(2.0, abs=0.2)
         assert rep.passed
 
+    @pytest.mark.parametrize("h", [1e-9, 1e-6])
+    def test_corrected_mode_below_fit_floor_fails(self, h):
+        # D(h) is rounding noise (5.6e-17 and 1.1e-13) too small to fit an
+        # order: such a run shows nothing, so it once passed vacuously
+        p = lorentz_encodings(2, 3)
+        rep = covariance_check(p, (DualComplex(0.6, 0.1), DualComplex(0.3j)),
+                               mode="corrected", h=h)
+        assert rep.fitted_order is None and rep.max_discrepancy > 0.0
+        assert not rep.passed
+
+    def test_corrected_mode_massless_patch_is_exact(self):
+        p = lorentz_encodings(2, 3, m=0.0)
+        rep = covariance_check(p, (DualComplex(0.6, 0.1), DualComplex(0.3j)),
+                               mode="corrected", h=1e-2)
+        assert rep.max_discrepancy == 0.0 and rep.fitted_order is None
+        assert rep.passed
+
     def test_unknown_mode(self):
         p = lorentz_encodings(1, 2)
         with pytest.raises(ValueError):
