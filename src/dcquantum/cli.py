@@ -15,15 +15,13 @@ import sys
 import numpy as np
 
 from . import scalar, serialize
-from .errors import DCError, MalformedInput, MalformedShape
+from .errors import DCError, MalformedInput, MalformedShape, NotHermitian, NotUnitary
 from .linalg import (
     CLUSTER_DELTA,
     DCMatrix,
     check_appreciably_semipositive,
     eig_hermitian,
     eig_unitary,
-    is_hermitian,
-    is_unitary,
     OperatorKind,
     residual,
 )
@@ -56,22 +54,6 @@ def _require(ok: bool, message: str) -> None:
         raise _UsageError(message)
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "rb") as f:
-            return json.loads(f.read().decode("utf-8"))
-    except json.JSONDecodeError as e:
-        message = f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-    except UnicodeDecodeError as e:
-        message = f"not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}"
-    except RecursionError:
-        message = "nested too deeply for the JSON decoder"
-    except OSError as e:
-        message = e.strerror
-    print(f"error: {path}: {message}", file=sys.stderr)
-    raise SystemExit(USAGE)
-
-
 def _write_report(report: dict, path):
     if path:
         serialize.dump_json(report, path)
@@ -102,12 +84,17 @@ def cmd_walk(args) -> int:
 
 
 def _check_spectrum(m: DCMatrix, atol: float, delta: float):
-    if is_hermitian(m):
+    """Whether the dual spectrum of m, taken as Hermitian else unitary,
+    rebuilds m within atol, and the largest error; a matrix of neither
+    kind fails with its smaller residual."""
+    try:
         spec = eig_hermitian(m, delta)
-    elif is_unitary(m):
-        spec = eig_unitary(m, delta)
-    else:
-        return False, float("inf")
+    except NotHermitian:
+        try:
+            spec = eig_unitary(m, delta)
+        except NotUnitary:  # the Hermitian residual raises NonSquare on a state
+            return False, min(residual(m, OperatorKind.HERMITIAN),
+                              residual(m, OperatorKind.UNITARY))
     rec = spec.reconstruct()
     worst = max(float(np.abs(rec.sig - m.sig).max()), float(np.abs(rec.inf - m.inf).max()))
     return worst <= atol, worst
@@ -136,7 +123,7 @@ def cmd_check(args) -> int:
         return PASS if worst.passed else FAIL
 
     _require(args.input is not None, f"check {args.what} needs --in")
-    obj = serialize.tagged_from_json(_load_json(args.input))
+    obj = serialize.load_tagged(args.input)
     if isinstance(obj, Measurement):
         print(f"error: {args.input}: check expects a unitary/matrix file", file=sys.stderr)
         return USAGE
@@ -153,6 +140,8 @@ def cmd_check(args) -> int:
     else:  # semipositive; argparse restricts the choices
         rep = check_appreciably_semipositive(m, args.tau)
         ok, worst = rep.passed, rep.worst_violation
+    if not math.isfinite(worst):  # finite entries near the float limit can overflow it
+        raise MalformedInput(f"the {args.what} residual overflows a float")
 
     report = {"check": args.what, "pass": bool(ok), "worst_residual": worst}
     _write_report(report, args.out)
@@ -197,8 +186,8 @@ def _extend_from_family(data, step_default: float):
 def cmd_translate(args) -> int:
     _require(math.isfinite(args.h) and (args.correct or args.h >= 0),
              "--h must be finite, and >= 0 with --extend")
-    data = _load_json(args.input)
     if args.extend:
+        data = serialize._read_json(args.input)
         if not isinstance(data, dict) or data.get("kind") != "family":
             print(f"error: {args.input}: --extend expects a family file", file=sys.stderr)
             return USAGE
@@ -206,7 +195,7 @@ def cmd_translate(args) -> int:
         serialize.dump_json(out, args.out)
         return PASS
 
-    obj = serialize.tagged_from_json(data)
+    obj = serialize.load_tagged(args.input)
     if isinstance(obj, DCMatrix):
         corrected = complex_correct_unitary(obj, args.h)
         out = serialize.unitary_to_json(DCMatrix(corrected))

@@ -257,11 +257,18 @@ def classify_op(m: DCMatrix, atol: float = 1e-10) -> frozenset:
 
 
 def is_unitary(m: DCMatrix, atol: float = 1e-10) -> bool:
-    return m.rows == m.cols and OperatorKind.UNITARY in classify_op(m, atol)
+    return m.rows == m.cols and residual(m, OperatorKind.UNITARY) <= atol
 
 
 def is_hermitian(m: DCMatrix, atol: float = 1e-10) -> bool:
-    return m.rows == m.cols and OperatorKind.HERMITIAN in classify_op(m, atol)
+    return m.rows == m.cols and residual(m, OperatorKind.HERMITIAN) <= atol
+
+
+def _hermitian_generator(d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Hermitian H with d = iHU for a unitary U: the Hermitian part
+    of -i d U^dag, which drops the float asymmetry of an inexact d."""
+    h = -1j * d @ u.conj().T
+    return 0.5 * (h + h.conj().T)
 
 
 def decompose_unitary(u_eps: DCMatrix):
@@ -272,10 +279,7 @@ def decompose_unitary(u_eps: DCMatrix):
     """
     if not is_unitary(u_eps, REQUIRE_ATOL):
         raise NotUnitary("decompose_unitary requires a dual-complex unitary")
-    u = u_eps.sig
-    h = -1j * u_eps.inf @ u.conj().T
-    h = 0.5 * (h + h.conj().T)  # kill float asymmetry; exact input is Hermitian
-    return u, h
+    return u_eps.sig, _hermitian_generator(u_eps.inf, u_eps.sig)
 
 
 # ---------------------------------------------------------------------------
@@ -391,27 +395,34 @@ def _across_clusters(ids: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.nd
     return np.where(same, 0.0, num / np.where(same, 1.0, den))
 
 
-def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
-    """Dual eigendecomposition of H + eps J, both parts Hermitian.
+def _first_order_spectrum(kind: str, x: np.ndarray, p: np.ndarray, j: np.ndarray,
+                          delta: float) -> DualSpectrum:
+    """Eigenpairs of a Hermitian H + eps j or a unitary (I + i eps j) U,
+    as `kind` says, whose sig-part has eigenvalues x on the orthonormal
+    columns of p; x_k moves at rate_k along the Hermitian j, 1 for H and
+    i x_k for U (Kato, ch. II).  Rotating each degenerate cluster (within
+    delta) to diagonalize its block of h = p^dag j p fixes the basis;
+    <m|k1> = rate_k h_mk / (x_k - x_m) across clusters, 0 within, and the
+    eigenvalues x_k + eps rate_k h_kk are ordered by value (H) or phase
+    (U), then by h_kk."""
+    unitary = kind == "unitary"
+    rate = 1j * x if unitary else 1
+    p, ids = _diagonalize_in_clusters(p, x, j, delta)
+    h = p.conj().T @ j @ p
+    p1 = p @ _across_clusters(ids, rate * h, x[None, :] - x[:, None])
+    mu = np.real(np.diag(h))
+    order = np.lexsort((mu, np.angle(x) if unitary else x))
+    return DualSpectrum(DCVector(x[order], (rate * mu)[order]), p[:, order], p1[:, order],
+                        kind=kind)
 
-    Degenerate clusters of H (within delta) are resolved by
-    diagonalizing the projected block of J, which fixes the zeroth-order
-    basis; first-order vector corrections follow from
-    <k0|j1> = -h_kj / (theta_k - theta_j) across clusters.
-    """
+
+def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
+    """Dual eigendecomposition of H + eps J, both parts Hermitian:
+    eigenvalues theta_k + eps <k|J|k>."""
     if not is_hermitian(h_eps, REQUIRE_ATOL):
         raise NotHermitian("eig_hermitian requires a Hermitian dual-complex matrix")
     theta, p = np.linalg.eigh(h_eps.sig)
-    j = h_eps.inf
-    p, ids = _diagonalize_in_clusters(p, theta, j, delta)
-    h = p.conj().T @ j @ p
-    mu = np.real(np.diag(h))
-    # c[k, jj] = -h[k, jj] / (theta[k] - theta[jj])
-    p1 = p @ _across_clusters(ids, -h, theta[:, None] - theta[None, :])
-
-    order = np.lexsort((mu, theta))
-    return DualSpectrum(DCVector(theta[order], mu[order]), p[:, order], p1[:, order],
-                        kind="hermitian")
+    return _first_order_spectrum("hermitian", theta, p, h_eps.inf, delta)
 
 
 def _unitary_eigenbasis(u: np.ndarray, delta: float):
@@ -430,27 +441,11 @@ def _unitary_eigenbasis(u: np.ndarray, delta: float):
 
 
 def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
-    """Dual eigendecomposition of a dual-complex unitary.
-
-    Writes U_eps = U + i eps J U, diagonalizes U (resolving degenerate
-    clusters in the basis that diagonalizes the projected J-block) and
-    applies the first-order corrections
-    alpha_jk = i lam_j h_kj / (lam_j - lam_k) across clusters, zero
-    within; eigenvalues are lam_j (1 + i h_jj eps).
-    """
+    """Dual eigendecomposition of a dual-complex unitary
+    U_eps = (I + i eps J) U: eigenvalues lam_k (1 + i eps <k|J|k>)."""
     u, j = decompose_unitary(u_eps)
     lam, p = _unitary_eigenbasis(u, delta)
-    p, ids = _diagonalize_in_clusters(p, lam, j, delta)
-    h = p.conj().T @ j @ p
-    # a[k, jj] = <k0 | j1~> = i lam[jj] h[k, jj] / (lam[jj] - lam[k])
-    p1 = p @ _across_clusters(ids, 1j * lam[None, :] * h, lam[None, :] - lam[:, None])
-
-    mu = np.real(np.diag(h))
-    theta = np.angle(lam)
-    order = np.lexsort((mu, theta))
-    lam = lam[order]
-    return DualSpectrum(DCVector(lam, 1j * lam * mu[order]), p[:, order], p1[:, order],
-                        kind="unitary")
+    return _first_order_spectrum("unitary", lam, p, j, delta)
 
 
 def log_unitary(u_eps: DCMatrix) -> DCMatrix:

@@ -26,6 +26,7 @@ from .linalg import (
     REQUIRE_ATOL,
     DCMatrix,
     DCVector,
+    _hermitian_generator,
     completeness_defect,
     decompose_unitary,
     dilation_block,
@@ -188,9 +189,7 @@ def dc_extend_unitary(p: ParamUnitary, step: float = FD_STEP) -> DCMatrix:
     else:
         d = (np.asarray(p.evaluate(step), dtype=complex)
              - np.asarray(p.evaluate(-step), dtype=complex)) / (2.0 * step)
-    h = -1j * d @ u0.conj().T
-    h = 0.5 * (h + h.conj().T)
-    return DCMatrix(u0, 1j * h @ u0)
+    return DCMatrix(u0, 1j * _hermitian_generator(d, u0) @ u0)
 
 
 def complex_correct_unitary(u_eps: DCMatrix, h: float) -> np.ndarray:

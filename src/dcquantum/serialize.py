@@ -151,9 +151,26 @@ def tagged_from_json(data):
     raise MalformedInput(f"unknown kind tag: {kind!r}")
 
 
+def _read_json(path: str):
+    """The JSON value held by the file at `path`, decoded as UTF-8; a
+    file that cannot be read, decoded or parsed raises MalformedInput
+    saying where."""
+    try:
+        with open(path, "rb") as f:
+            return json.loads(f.read().decode("utf-8"))
+    except json.JSONDecodeError as e:
+        message = f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+    except UnicodeDecodeError as e:
+        message = f"not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}"
+    except RecursionError:
+        message = "nested too deeply for the JSON decoder"
+    except OSError as e:
+        message = e.strerror
+    raise MalformedInput(message)
+
+
 def load_tagged(path: str):
-    with open(path) as f:
-        return tagged_from_json(json.load(f))
+    return tagged_from_json(_read_json(path))
 
 
 def dump_json(obj: dict, path: str) -> None:

@@ -254,12 +254,12 @@ class CovarianceReport:
         return 1.8 <= self.fitted_order <= 2.2
 
 
-def _covariance_discrepancy(patch: LorentzPatch, gate: Callable[[float], DCMatrix],
-                            psip: DualComplex, psim: DualComplex) -> float:
-    """Largest wire difference, over both components, between sending
-    alpha right-movers across beta left-movers through the grid of
-    gate(m') in causal wavefront order (gate (i, j) fires at time i + j)
-    and one gate(m) followed by the encodings."""
+def _covariance_discrepancy(patch: LorentzPatch, gate: Callable, psip, psim, size) -> float:
+    """Largest `size` of the wire differences between sending alpha
+    right-movers across beta left-movers through the grid of gate(m') in
+    causal wavefront order (gate (i, j) fires at time i + j) and one
+    gate(m) followed by the encodings.  The amplitudes are DualComplex
+    numbers or plain complex ones, as the gate entries are."""
     def entries(m: float) -> list:
         g = gate(m)
         return [[g[0, 0], g[0, 1]], [g[1, 0], g[1, 1]]]
@@ -277,7 +277,7 @@ def _covariance_discrepancy(patch: LorentzPatch, gate: Callable[[float], DCMatri
 
     out_minus, out_plus = _gate_apply(entries(patch.m), psip, psim)
     diffs = [w - out_plus * sa for w in rights] + [w - out_minus * sb for w in lefts]
-    return float(np.max([(abs(d.sig), abs(d.inf)) for d in diffs]))  # NaN propagates
+    return float(np.max([size(d) for d in diffs]))  # NaN propagates
 
 
 def covariance_check(
@@ -304,7 +304,8 @@ def covariance_check(
         psim = DualComplex(psim)
 
     if mode == "dual_exact":
-        d = _covariance_discrepancy(patch, dirac_gate, psip, psim)
+        d = _covariance_discrepancy(patch, dirac_gate, psip, psim,
+                                    lambda w: (abs(w.sig), abs(w.inf)))
         return CovarianceReport("dual_exact", patch.alpha, patch.beta, d)
 
     if mode != "corrected":
@@ -312,11 +313,9 @@ def covariance_check(
     if not 0 < h < math.inf:
         raise ValueError(f"corrected mode needs a finite h > 0, got {h!r}")
 
-    def at(hh: float) -> float:  # the eps-parts of every amplitude stay 0
-        return _covariance_discrepancy(
-            patch, lambda m: DCMatrix(corrected_gate(m, hh)),
-            DualComplex(psip.sig + hh * psip.inf), DualComplex(psim.sig + hh * psim.inf),
-        )
+    def at(hh: float) -> float:  # plain complex amplitudes, the inputs at eps = hh
+        return _covariance_discrepancy(patch, lambda m: corrected_gate(m, hh),
+                                       psip.sig + hh * psip.inf, psim.sig + hh * psim.inf, abs)
 
     ds = [at(h), at(h / 2.0), at(h / 4.0)]
     order = None

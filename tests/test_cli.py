@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcquantum
-from dcquantum import serialize
+from dcquantum import cli, linalg, serialize
 from dcquantum.cli import main
-from dcquantum.linalg import DCMatrix, DCVector, dilation_block
+from dcquantum.linalg import DCMatrix, DCVector, dilation_block, residual
 from dcquantum.quantum import Measurement, QuantumState, normalize
 from dcquantum.walk import dirac_gate
 
@@ -153,10 +153,72 @@ class TestCheckCommand:
     def test_malformed_json_reports_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "unitary", }')
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "unitary", "--in", str(bad)])
-        assert exc.value.code == 2
+        assert main(["check", "unitary", "--in", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+def _no_constants(token):
+    raise AssertionError(f"report holds the non-JSON token {token}")
+
+
+class TestCheckSpectrumKind:
+    """check spectrum takes a file as Hermitian or unitary at REQUIRE_ATOL,
+    the tolerance eig_hermitian and eig_unitary accept, and reports a
+    finite residual for a matrix of neither kind."""
+
+    def test_near_hermitian_passes_like_check_hermitian(self, tmp_path, capsys):
+        # Hermitian residual 5e-9: inside REQUIRE_ATOL, outside 1e-10
+        sig = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+        sig[0, 1] = 5e-9
+        inf = np.array([[0.5, 1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 2j], [0, 0, -2j, 3]])
+        path = write_unitary(tmp_path / "h.json", DCMatrix(sig, inf))
+        assert main(["check", "hermitian", "--in", path]) == 0
+        hermitian = json.loads(capsys.readouterr().out)
+        assert main(["check", "spectrum", "--in", path]) == 0
+        spectrum = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+        assert hermitian["pass"] is spectrum["pass"] is True
+        assert hermitian["worst_residual"] == 5e-9
+        assert spectrum["worst_residual"] <= 1e-8
+
+    def test_non_normal_matrix_reports_the_smaller_residual(self, tmp_path, capsys):
+        # Hermitian residual 2, unitary residual max|M^dag M - I| = 4
+        path = write_unitary(tmp_path / "n.json", DCMatrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
+        assert main(["check", "spectrum", "--in", path]) == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+        assert report == {"check": "spectrum", "pass": False, "worst_residual": 2.0}
+
+    def test_near_unitary_is_taken_as_unitary(self, tmp_path, capsys):
+        g = dirac_gate(0.7)
+        path = write_unitary(tmp_path / "g.json", DCMatrix(g.sig * (1 + 2e-9), g.inf))
+        assert main(["check", "spectrum", "--in", path]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+        assert report["worst_residual"] < 1e-8
+
+    @pytest.mark.parametrize("m, kinds", [
+        (DCMatrix(np.diag([1.0, 2.0]).astype(complex)), ["hermitian"]),
+        (dirac_gate(0.7), ["hermitian", "unitary"]),
+    ], ids=["hermitian", "unitary"])
+    def test_kind_is_decided_once(self, tmp_path, capsys, monkeypatch, m, kinds):
+        # each residual on the way to a passing spectrum is evaluated once
+        seen = []
+
+        def counting(mat, kind):
+            seen.append(kind.value)
+            return residual(mat, kind)
+
+        path = write_unitary(tmp_path / "m.json", m)
+        monkeypatch.setattr(linalg, "residual", counting)
+        monkeypatch.setattr(cli, "residual", counting)
+        assert main(["check", "spectrum", "--in", path]) == 0
+        assert seen == kinds
+
+    def test_state_has_no_spectrum(self, tmp_path, capsys):
+        doc = serialize.state_to_json(normalize(DCVector(np.array([0.6, 0.8j]))))
+        path = _write_doc(tmp_path / "s.json", doc)
+        assert main(["check", "spectrum", "--in", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: NonSquare: ")
 
 
 def _write_doc(path, doc):
@@ -200,9 +262,7 @@ class TestMalformedInput:
     def test_unreadable_json_exits_2(self, tmp_path, capsys, content, located):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "unitary", "--in", str(path)])
-        assert exc.value.code == 2
+        assert main(["check", "unitary", "--in", str(path)]) == 2
         captured = capsys.readouterr()
         assert f"error: {path}: {located}" in captured.err and captured.out == ""
 
@@ -245,6 +305,17 @@ class TestMalformedInput:
         path = _write_doc(tmp_path / "nan.json", doc)
         assert main(["check", "spectrum", "--in", path]) == 2
         assert "NaN" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("what", ["unitary", "hermitian", "spectrum"])
+    def test_overflowing_residual_is_not_reported(self, tmp_path, capsys, what):
+        # finite entries whose residual is +inf: json.dumps would write Infinity
+        path = write_unitary(tmp_path / "huge.json",
+                             DCMatrix(np.array([[1e308, 1e308], [-1e308, 0.0]])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["check", what, "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: the {what} residual overflows a float\n"
 
     def test_unitary_check_on_state_is_an_isometry_check(self, tmp_path, capsys):
         path = tmp_path / "s.json"

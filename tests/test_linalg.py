@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     mat_exp_series,
@@ -20,12 +22,15 @@ from dcquantum.linalg import (
     eig_hermitian,
     eig_unitary,
     inner,
+    is_hermitian,
+    is_unitary,
     kron,
     mat_exp,
     norm_sq,
     residual,
     vnorm,
 )
+from dcquantum import linalg
 from dcquantum.scalar import DualComplex, DualReal
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -233,6 +238,54 @@ def test_residual_per_kind():
     nan = DCMatrix(np.eye(2), np.array([[np.nan, 0], [0, 0]]))
     assert np.isnan(residual(nan, OperatorKind.UNITARY))
     assert classify_op(nan) == frozenset()
+
+
+@st.composite
+def _near_kind_matrices(draw):
+    """A square or non-square dual matrix near a Hermitian or a unitary,
+    or neither, off by a drawn amount in a drawn entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 4))
+    cols = rows if draw(st.booleans()) else draw(st.integers(1, 4))
+    base = draw(st.sampled_from(["hermitian", "unitary", "any"]))
+    if base == "hermitian" and rows == cols:
+        m = random_dc_hermitian(rows, rng)
+    elif base == "unitary" and rows == cols:
+        m = random_dc_unitary(rows, rng)
+    else:
+        m = DCMatrix(*(rng.standard_normal((2, rows, cols))
+                       + 1j * rng.standard_normal((2, rows, cols))))
+    size = draw(st.sampled_from([0.0, 1e-12, 1e-10, 5e-9, 1e-6, 1.0]))
+    parts = [m.sig.copy(), m.inf.copy()]
+    parts[draw(st.integers(0, 1))][draw(st.integers(0, rows - 1)),
+                                   draw(st.integers(0, cols - 1))] += size
+    return DCMatrix(*parts)
+
+
+class TestKindPredicates:
+    """is_hermitian and is_unitary are the residual of their own kind
+    against atol, and evaluate only that one residual."""
+
+    @given(_near_kind_matrices(), st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-4, 10.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_predicate_is_its_residual(self, m, atol):
+        square = m.rows == m.cols
+        assert is_hermitian(m, atol) == (
+            square and residual(m, OperatorKind.HERMITIAN) <= atol)
+        assert is_unitary(m, atol) == (square and residual(m, OperatorKind.UNITARY) <= atol)
+
+    @pytest.mark.parametrize("predicate", [is_hermitian, is_unitary])
+    def test_one_residual_per_call(self, predicate, monkeypatch):
+        kinds = []
+
+        def counting(m, kind):
+            kinds.append(kind)
+            return residual(m, kind)
+
+        monkeypatch.setattr(linalg, "residual", counting)
+        predicate(DCMatrix.identity(3))
+        want = OperatorKind.HERMITIAN if predicate is is_hermitian else OperatorKind.UNITARY
+        assert kinds == [want]
 
 
 def test_unitary_preserves_dual_norm(rng):

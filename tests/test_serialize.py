@@ -128,6 +128,26 @@ class TestTagged:
             tagged_from_json({"kind": "mystery"})
 
 
+class TestLoadTaggedRejectsUnreadable:
+    """A file that cannot be read, decoded as UTF-8 or parsed raises
+    MalformedInput saying where, as the dcq command line reports it."""
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"kind": "unitary", "matrix": "\xe9"}', "not UTF-8: byte 0xe9 at offset 31"),
+        (b"[" * 100000 + b"]" * 100000, "nested too deeply for the JSON decoder"),
+        (b'{"kind": "unitary", }', "parse error at line 1, column 21: "),
+    ], ids=["latin-1", "deep", "syntax"])
+    def test_undecodable_content(self, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(MalformedInput, match=f"^{re.escape(message)}"):
+            load_tagged(str(path))
+
+    def test_missing_path(self, tmp_path):
+        with pytest.raises(MalformedInput, match="^No such file or directory$"):
+            load_tagged(str(tmp_path / "absent.json"))
+
+
 BAD_VALUES = ["1.0", True, False, None, [1.0], {"re": 1.0}, float("nan"),
               float("inf"), -float("inf"), 10**400]
 

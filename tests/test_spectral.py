@@ -7,16 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dc_hermitian, random_dc_unitary
+from conftest import random_complex_hermitian, random_dc_hermitian, random_dc_unitary
 from dcquantum.errors import IncompleteFamily, NotHermitian, NotUnitary
 from dcquantum.linalg import (
+    _across_clusters,
     _cluster_ids,
+    _diagonalize_in_clusters,
+    _unitary_eigenbasis,
+    CLUSTER_DELTA,
     DCMatrix,
     DCVector,
     OperatorKind,
     check_appreciably_semipositive,
     classify_op,
+    decompose_unitary,
     dilation_block,
+    DualSpectrum,
     eig_hermitian,
     eig_unitary,
     inner,
@@ -160,6 +166,100 @@ class TestLogUnitary:
         l = log_unitary(u_eps)
         assert np.abs(l.sig - 1j * h_eps.sig).max() < 1e-8
         assert np.abs(l.inf - 1j * h_eps.inf).max() < 1e-8
+
+
+# The per-kind first-order formulas that eig_hermitian and eig_unitary
+# wrote out separately before they shared one core; kept as references.
+
+
+def _reference_eig_hermitian(h_eps, delta=CLUSTER_DELTA):
+    theta, p = np.linalg.eigh(h_eps.sig)
+    j = h_eps.inf
+    p, ids = _diagonalize_in_clusters(p, theta, j, delta)
+    h = p.conj().T @ j @ p
+    mu = np.real(np.diag(h))
+    # c[k, jj] = -h[k, jj] / (theta[k] - theta[jj])
+    p1 = p @ _across_clusters(ids, -h, theta[:, None] - theta[None, :])
+
+    order = np.lexsort((mu, theta))
+    return DualSpectrum(DCVector(theta[order], mu[order]), p[:, order], p1[:, order],
+                        kind="hermitian")
+
+
+def _reference_eig_unitary(u_eps, delta=CLUSTER_DELTA):
+    u, j = decompose_unitary(u_eps)
+    lam, p = _unitary_eigenbasis(u, delta)
+    p, ids = _diagonalize_in_clusters(p, lam, j, delta)
+    h = p.conj().T @ j @ p
+    # a[k, jj] = <k0 | j1~> = i lam[jj] h[k, jj] / (lam[jj] - lam[k])
+    p1 = p @ _across_clusters(ids, 1j * lam[None, :] * h, lam[None, :] - lam[:, None])
+
+    mu = np.real(np.diag(h))
+    theta = np.angle(lam)
+    order = np.lexsort((mu, theta))
+    lam = lam[order]
+    return DualSpectrum(DCVector(lam, 1j * lam * mu[order]), p[:, order], p1[:, order],
+                        kind="unitary")
+
+
+def _spectrum_bytes(spec):
+    return [a.tobytes() for a in (spec.values.sig, spec.values.inf, spec.basis_sig,
+                                  spec.basis_inf)] + [spec.kind]
+
+
+def _rotated_degenerate_hermitian(n, rng):
+    """Q diag(d) Q^dag with about n/2 distinct integer eigenvalues, each
+    repeated, plus a random Hermitian eps-part."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = rng.integers(0, max(1, n // 2), size=n).astype(float)
+    return DCMatrix(q @ np.diag(d) @ q.conj().T, random_complex_hermitian(n, rng))
+
+
+SIZES = [1, 2, 3, 4, 5, 8, 13, 21, 32, 64]
+
+
+class TestOneCorrectionCoreBitIdentical:
+    """eig_hermitian and eig_unitary, as front-ends to one first-order
+    core, give the bits of the per-kind formulas, degenerate clusters
+    included."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_hermitian(self, n, rng):
+        for m in (random_dc_hermitian(n, rng), _rotated_degenerate_hermitian(n, rng)):
+            for delta in (CLUSTER_DELTA, 1e-12):
+                assert _spectrum_bytes(eig_hermitian(m, delta)) == _spectrum_bytes(
+                    _reference_eig_hermitian(m, delta))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_unitary(self, n, rng):
+        for m in (random_dc_unitary(n, rng), random_dc_unitary(n, rng, degenerate=True)):
+            for delta in (CLUSTER_DELTA, 1e-12):
+                assert _spectrum_bytes(eig_unitary(m, delta)) == _spectrum_bytes(
+                    _reference_eig_unitary(m, delta))
+
+    @pytest.mark.parametrize("m", [
+        DCMatrix(SX, -0.6j * np.eye(2)),
+        DCMatrix(SX),
+        DCMatrix.identity(3),
+        DCMatrix(np.diag([1, 1j, -1, -1j]), np.diag([0.5j, 0.0, 0.5j, 0.0])),  # (I + i eps J) U
+    ], ids=["walk-gate", "massless-gate", "identity", "diagonal"])
+    def test_structured_unitary(self, m):
+        assert _spectrum_bytes(eig_unitary(m)) == _spectrum_bytes(_reference_eig_unitary(m))
+
+    @pytest.mark.parametrize("m", [
+        DCMatrix(SZ, SZ),
+        DCMatrix(SZ, SX),
+        DCMatrix(np.zeros((2, 2)), SX),
+        DCMatrix(np.diag([1.0, 1.0, 2.0, 2.0]), np.diag([3.0, -0.0, 0.0, -1.0])),
+        DCMatrix.zeros(3),
+    ], ids=["sz-sz", "sz-sx", "degenerate-sx", "diagonal", "zero"])
+    def test_structured_hermitian(self, m):
+        # An exactly zero coupling h_mk between clusters gives a zero
+        # correction whose sign the division's operand order decides:
+        # there the eps-part of the basis agrees in value, +0 == -0.
+        got, want = eig_hermitian(m), _reference_eig_hermitian(m)
+        assert _spectrum_bytes(got)[:3] == _spectrum_bytes(want)[:3]
+        assert np.array_equal(got.basis_inf, want.basis_inf)
 
 
 def _rotated_kernel_counterexample():
