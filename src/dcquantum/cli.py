@@ -85,8 +85,8 @@ def cmd_walk(args) -> int:
 
 def _check_spectrum(m: DCMatrix, atol: float, delta: float):
     """Whether the dual spectrum of m, taken as Hermitian else unitary,
-    rebuilds m within atol, and the largest error; a matrix of neither
-    kind fails with its smaller residual."""
+    rebuilds m within atol times max(1, its largest entry modulus), and
+    that relative error; a matrix of neither kind fails with its smaller residual."""
     try:
         spec = eig_hermitian(m, delta)
     except NotHermitian:
@@ -97,6 +97,7 @@ def _check_spectrum(m: DCMatrix, atol: float, delta: float):
                               residual(m, OperatorKind.UNITARY))
     rec = spec.reconstruct()
     worst = max(float(np.abs(rec.sig - m.sig).max()), float(np.abs(rec.inf - m.inf).max()))
+    worst /= max(1.0, float(np.abs(m.sig).max()), float(np.abs(m.inf).max()))
     return worst <= atol, worst
 
 
@@ -125,8 +126,7 @@ def cmd_check(args) -> int:
     _require(args.input is not None, f"check {args.what} needs --in")
     obj = serialize.load_tagged(args.input)
     if isinstance(obj, Measurement):
-        print(f"error: {args.input}: check expects a unitary/matrix file", file=sys.stderr)
-        return USAGE
+        raise MalformedInput("check expects a unitary/matrix file")
     if isinstance(obj, DCMatrix):
         m = obj
     else:  # a state is checked as its n x 1 column, eps-part included
@@ -189,8 +189,7 @@ def cmd_translate(args) -> int:
     if args.extend:
         data = serialize._read_json(args.input)
         if not isinstance(data, dict) or data.get("kind") != "family":
-            print(f"error: {args.input}: --extend expects a family file", file=sys.stderr)
-            return USAGE
+            raise MalformedInput("--extend expects a family file")
         out = _extend_from_family(data, args.h or 1e-6)
         serialize.dump_json(out, args.out)
         return PASS
@@ -205,9 +204,7 @@ def cmd_translate(args) -> int:
             Measurement(tuple(DCMatrix(m) for m in mats), obj.labels)
         )
     else:
-        print(f"error: {args.input}: translate expects a unitary or measurement file",
-              file=sys.stderr)
-        return USAGE
+        raise MalformedInput("translate expects a unitary or measurement file")
     serialize.dump_json(out, args.out)
     return PASS
 

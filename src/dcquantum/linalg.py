@@ -9,6 +9,7 @@ first-order identities hold exactly up to floating point.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,10 +296,8 @@ def mat_exp(a_eps: DCMatrix) -> DCMatrix:
     eigendecomposition A = Q diag(lam) Q^dag gives both parts in closed
     form (Daleckii-Krein): e^A = Q e^lam Q^dag and
     L(A, B) = Q (F o Q^dag B Q) Q^dag with the divided differences
-    F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), F_ii = e^lam_i.  Any
-    other A goes through the block identity
-    exp([[A, B], [0, A]]) = [[e^A, L(A,B)], [0, e^A]], with scipy's
-    scaling-and-squaring on the block matrix.
+    F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), F_ii = e^lam_i.  Any other A
+    goes through `_mat_exp_taylor`, scaling and squaring in the ring.
     """
     if a_eps.rows != a_eps.cols:
         raise NonSquare("mat_exp needs a square matrix")
@@ -310,7 +309,7 @@ def mat_exp(a_eps: DCMatrix) -> DCMatrix:
         w, q = np.linalg.eigh(1j * a)  # iA is Hermitian, so lam = -i w
         lam = -1j * w
     else:
-        return _mat_exp_block(a, b)
+        return _mat_exp_taylor(a_eps)
     e = np.exp(lam)
     qh = q.conj().T
     f = _exp_divided_differences(lam, e)
@@ -333,18 +332,19 @@ def _exp_divided_differences(lam: np.ndarray, e: np.ndarray) -> np.ndarray:
     return e_hi * ratio
 
 
-def _mat_exp_block(a: np.ndarray, b: np.ndarray) -> DCMatrix:
-    # Imported here so that only a generator that is neither Hermitian
-    # nor anti-Hermitian loads scipy.
-    import scipy.linalg
-
-    n = a.shape[0]
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = a
-    block[:n, n:] = b
-    block[n:, n:] = a
-    e = scipy.linalg.expm(block)
-    return DCMatrix(e[:n, :n], e[:n, n:])
+def _mat_exp_taylor(a_eps: DCMatrix) -> DCMatrix:
+    """Horner's rule on the degree-18 Taylor series of X = 2^-s (A + eps B),
+    2^s > ||A||_1, then s squarings (Moler & Van Loan, method 3).  Every
+    product is dual, so the eps-part is L(A, B) (Al-Mohy & Higham 2009);
+    both parts truncate below 1/18!, and a zero or NaN norm gives s = 0."""
+    s = max(0, math.frexp(float(np.abs(a_eps.sig).sum(axis=0).max()))[1])
+    x = a_eps.scale(2.0 ** -s)
+    one = r = DCMatrix.identity(a_eps.rows)
+    for k in range(18, 0, -1):
+        r = one + (x @ r).scale(1.0 / k)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +512,12 @@ def check_appreciably_semipositive(e: DCMatrix, tau: float = TAU) -> Semipositiv
 
 def completeness_defect(family) -> float:
     """Max-norm distance of sum_m M_m^dag M_m from the identity, over
-    both components."""
+    both components; every M_m must have as many columns as M_0."""
     d = family[0].cols
     acc = DCMatrix.zeros(d)
-    for m in family:
+    for i, m in enumerate(family):
+        if m.cols != d:
+            raise DimMismatch(f"operator {i} has {m.cols} columns, operator 0 has {d}")
         acc = acc + (m.adjoint() @ m)
     return _max_abs(acc.sig - np.eye(d), acc.inf)
 

@@ -165,7 +165,7 @@ def test_criterion_4_mat_exp_oracle():
         ok &= np.abs(e_block.inf - e_series.inf).max() <= 1e-8
         if not ok:
             break
-    report(4, "mat_exp block trick vs truncated double series, 100 cases", ok)
+    report(4, "mat_exp dual Taylor series vs truncated double series, 100 cases", ok)
 
 
 def test_criterion_5_postulate_fuzz():

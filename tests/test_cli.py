@@ -212,6 +212,16 @@ class TestCheckSpectrumKind:
         assert main(["check", "spectrum", "--in", path]) == 0
         assert seen == kinds
 
+    def test_rebuild_error_is_relative_to_the_largest_entry(self, tmp_path, capsys):
+        # exactly Hermitian; the absolute rebuild error was 4.46e284
+        big = DCMatrix(np.diag([1e300, 1e300]), np.array([[0.0, 1e300], [1e300, 0.0]]))
+        path = write_unitary(tmp_path / "big.json", big)
+        assert main(["check", "hermitian", "--in", path]) == 0
+        capsys.readouterr()
+        assert main(["check", "spectrum", "--in", path]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+        assert report["pass"] is True and report["worst_residual"] <= 1e-15
+
     def test_state_has_no_spectrum(self, tmp_path, capsys):
         doc = serialize.state_to_json(normalize(DCVector(np.array([0.6, 0.8j]))))
         path = _write_doc(tmp_path / "s.json", doc)
@@ -298,6 +308,24 @@ class TestMalformedInput:
         assert rc == 2
         assert f"{path}: operators[1].entries[2]" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("kind, argv, message", [
+        ("measurement", ["check", "unitary"], "check expects a unitary/matrix file"),
+        ("unitary", ["translate", "--extend"], "--extend expects a family file"),
+        ("state", ["translate", "--correct"], "translate expects a unitary or measurement file"),
+    ], ids=["check-measurement", "extend-unitary", "translate-state"])
+    def test_file_of_the_wrong_kind(self, tmp_path, capsys, kind, argv, message):
+        docs = {
+            "measurement": serialize.measurement_to_json(Measurement((DCMatrix(np.eye(2)),))),
+            "unitary": serialize.unitary_to_json(dirac_gate(0.7)),
+            "state": serialize.state_to_json(normalize(DCVector(np.array([0.6, 0.8j])))),
+        }
+        path = _write_doc(tmp_path / f"{kind}.json", docs[kind])
+        out = str(tmp_path / "o.json")
+        assert main([*argv, "--in", path, *(["--out", out] if argv[0] == "translate" else [])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
+        assert not os.path.exists(out)
 
     def test_nan_is_not_reported_as_a_residual(self, tmp_path, capsys):
         doc = serialize.unitary_to_json(DCMatrix(np.eye(2)))
@@ -579,12 +607,13 @@ def test_console_script_help():
 
 
 def test_import_and_walk_leave_scipy_unloaded(tmp_path):
-    """scipy.linalg loads only for mat_exp of a generator that is neither
-    Hermitian nor anti-Hermitian: never for `import dcquantum`, `import
-    dcquantum.cli`, `dcq walk`, the complex correction or a Schrodinger
-    step."""
+    """The package runs without scipy: with every scipy import made to
+    fail, `import dcquantum`, `import dcquantum.cli`, `dcq walk`, the
+    complex correction, a Schrodinger step and mat_exp of a non-normal
+    generator all work and leave scipy unloaded."""
     code = textwrap.dedent(f"""
         import sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
         import numpy as np
         import dcquantum.cli
         import dcquantum
@@ -606,7 +635,7 @@ def test_import_and_walk_leave_scipy_unloaded(tmp_path):
 
         e = mat_exp(DCMatrix(np.array([[0, 1], [0, 0]]), np.eye(2)))
         assert np.allclose(e.sig, [[1, 1], [0, 1]]) and np.allclose(e.inf, [[1, 1], [0, 1]])
-        assert "scipy.linalg" in sys.modules
+        assert "scipy.linalg" not in sys.modules
     """)
     src = os.path.dirname(os.path.dirname(dcquantum.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -225,6 +227,48 @@ class TestMatExpClosedForm:
     def test_coincident_eigenvalues_give_the_exponential(self):
         e = mat_exp(DCMatrix(0.3j * np.eye(3), np.arange(9.0).reshape(3, 3)))
         assert np.abs(e.inf - np.exp(0.3j) * np.arange(9.0).reshape(3, 3)).max() < 1e-14
+
+
+class TestMatExpTaylor:
+    """A generator that is neither Hermitian nor anti-Hermitian takes the
+    dual Taylor scaling and squaring; both parts must agree with the
+    block expm exp([[A, B], [0, A]]) = [[e^A, L(A, B)], [0, e^A]]."""
+
+    @staticmethod
+    def rel_err(e, m):
+        sig, inf = TestMatExpClosedForm.block_expm(m)
+        return (np.abs(e.sig - sig).max() / np.abs(sig).max(),
+                np.abs(e.inf - inf).max() / np.abs(inf).max())
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64, 128, 256])
+    @pytest.mark.parametrize("c, tol", [(1e-6, 2e-13), (0.5, 2e-13), (3.0, 2e-13),
+                                        (30.0, 2e-13), (300.0, 2e-12)])
+    def test_non_normal_matches_block_expm(self, rng, n, c, tol):
+        g = rng.standard_normal((2, n, n))
+        a = c * (g[0] + 1j * g[1]) / np.sqrt(n)
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert not np.array_equal(a.conj().T, a) and not np.array_equal(a.conj().T, -a)
+        err_sig, err_inf = self.rel_err(mat_exp(DCMatrix(a, b)), DCMatrix(a, b))
+        assert err_sig <= tol and err_inf <= tol
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_jordan_block(self, rng, n):
+        m = DCMatrix(3.0 * np.eye(n, k=1) + 0.5 * np.eye(n), rng.standard_normal((n, n)))
+        err_sig, err_inf = self.rel_err(mat_exp(m), m)
+        assert err_sig <= 1e-14 and err_inf <= 1e-14
+
+    def test_zero_generator_is_exact(self, rng):
+        # mat_exp takes eigh at A = 0; the series there has s = 0 and is I + eps B
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for e in (mat_exp(DCMatrix(np.zeros((4, 4)), b)),
+                  linalg._mat_exp_taylor(DCMatrix(np.zeros((4, 4)), b))):
+            assert np.array_equal(e.sig, np.eye(4)) and np.array_equal(e.inf, b)
+
+    def test_nan_entry_gives_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = mat_exp(DCMatrix(np.array([[0.0, 1.0], [0.0, np.nan]]), np.eye(2)))
+        assert np.isnan(e.sig).all() and np.isnan(e.inf).all()
 
 
 def test_residual_per_kind():

@@ -190,6 +190,20 @@ class TestMeasure:
         with pytest.raises(DimMismatch):
             measure(ket(3, 0), m)
 
+    @pytest.mark.parametrize("other", [np.zeros((1, 1)), np.zeros((2, 3))],
+                             ids=["1x1-broadcasts", "2x3"])
+    def test_operators_of_another_column_count_rejected(self, other):
+        # the 1x1 product broadcast in the completeness sum; 2x3 raised numpy's ValueError
+        with pytest.raises(DimMismatch, match="operator 1 has"):
+            Measurement((DCMatrix(np.eye(2)), DCMatrix(other)))
+
+    def test_rectangular_operators_with_equal_columns_accepted(self):
+        m = Measurement((DCMatrix(0.6 * np.eye(2)),
+                         DCMatrix(np.array([[0.8, 0.0], [0.0, 0.8], [0.0, 0.0]]))))
+        out = measure(ket(2, 0), m)
+        assert [o.probability.sig for o in out] == pytest.approx([0.36, 0.64])
+        assert out[1].post.dim == 3
+
 
 class TestSample:
     def test_deterministic_in_seed(self):
