@@ -527,10 +527,10 @@ def stinespring(family) -> DCMatrix:
 
     Builds the isometry V = V0 + eps V1 = sum_m |m><0| x M_m
     (ancilla-first ordering, so block row m holds M_m and the first d
-    columns stack the M_m) and completes it to a (kd)x(kd) dual-complex
-    unitary [V, W] in closed form.  W0 holds the complement columns of
-    the complete QR factorization of V0, each multiplied by the phase
-    that makes its first largest-modulus entry real and positive;
+    columns stack the M_m, R rows in all) and completes it to an R x R
+    dual-complex unitary [V, W] in closed form.  W0 holds the complement
+    columns of the complete QR factorization of V0, each multiplied by
+    the phase that makes its first largest-modulus entry real and positive;
     W1 = -V0 (V1^dag W0), which makes [V, W] unitary to first order.
     The completion is deterministic but not canonical; only the first
     block-column is contractual.
@@ -538,9 +538,6 @@ def stinespring(family) -> DCMatrix:
     if not family:
         raise IncompleteFamily("empty operator family")
     d = family[0].cols
-    for m in family:
-        if m.shape != (d, d):
-            raise DimMismatch("all operators in the family must be d x d")
     defect = completeness_defect(family)
     if not defect <= _COMPLETE_ATOL:  # NaN fails too
         raise IncompleteFamily(

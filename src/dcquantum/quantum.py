@@ -233,12 +233,9 @@ def complex_correct_measurement(
     """
     if dilation is None:
         dilation = stinespring(m.operators)
-    d = m.dim
-    corrected = complex_correct_unitary(dilation, h)
-    return [
-        corrected[i * d : (i + 1) * d, :d].copy()
-        for i in range(len(m.operators))
-    ]
+    corrected = complex_correct_unitary(dilation, h)[:, :m.dim]
+    ends = np.cumsum([op.rows for op in m.operators])  # block m ends at row ends[m]
+    return [block.copy() for block in np.split(corrected, ends)[:-1]]
 
 
 def measurement_from_complex(mats, labels=None) -> Measurement:

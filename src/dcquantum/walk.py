@@ -7,9 +7,10 @@ this object *is* the 1+1D Dirac equation: the infinitesimal parts carry
 the first-order space-time variation, so the continuum limit needs no
 separate discretization analysis.
 
-The Lorentz-covariance checker works on a single alpha x beta lightlike
-patch of gates, comparing encode-then-evolve against evolve-then-encode
-wire by wire.
+The Lorentz-covariance checker compares encode-then-evolve against
+evolve-then-encode on one alpha x beta lightlike patch of gates, wire by
+wire, in one wavefront kernel on dual wire arrays for both of its modes.
+Gates are indexed g[r, c], so a DCMatrix or a complex array serves.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import PatchMismatch
 from .linalg import DCMatrix, DCVector, norm_sq
-from .scalar import DualComplex, DualReal
+from .scalar import DualComplex, DualReal, _leibniz
 
 
 def dirac_gate(m: float) -> DCMatrix:
@@ -147,9 +148,9 @@ def dirac_plane_wave(k: float, m: float, branch: int = 0):
 
 def _gate_apply(g, plus, minus):
     """One gate on a site's (psi+, psi-): returns (psi-_out, psi+_out).
-    `g` is indexed g[row][col], and the amplitudes may be complex scalars,
-    complex arrays or DualComplex numbers."""
-    return g[0][0] * plus + g[0][1] * minus, g[1][0] * plus + g[1][1] * minus
+    `g` is a DCMatrix or a complex array, indexed g[row, col]; the
+    amplitudes are complex scalars or arrays, or DualComplex numbers."""
+    return g[0, 0] * plus + g[0, 1] * minus, g[1, 0] * plus + g[1, 1] * minus
 
 
 def continuum_residual(
@@ -254,30 +255,35 @@ class CovarianceReport:
         return 1.8 <= self.fitted_order <= 2.2
 
 
-def _covariance_discrepancy(patch: LorentzPatch, gate: Callable, psip, psim, size) -> float:
-    """Largest `size` of the wire differences between sending alpha
-    right-movers across beta left-movers through the grid of gate(m') in
-    causal wavefront order (gate (i, j) fires at time i + j) and one
-    gate(m) followed by the encodings.  The amplitudes are DualComplex
-    numbers or plain complex ones, as the gate entries are."""
-    def entries(m: float) -> list:
-        g = gate(m)
-        return [[g[0, 0], g[0, 1]], [g[1, 0], g[1, 1]]]
-
+def _covariance_discrepancy(patch: LorentzPatch, gate: Callable, psip, psim) -> float:
+    """Largest modulus, over both parts, of the wire differences between
+    sending alpha right-movers across beta left-movers through the grid
+    of gate(m') in causal wavefront order (gate (i, j) fires at time
+    i + j) and one gate(m) followed by the encodings.  The wires are the
+    columns of one (sig, inf) array, right-movers then left-movers in
+    reverse, so wavefront w pairs right wire i with the column
+    alpha + beta - 1 - w further on, and no wire twice.  Gate entries and
+    spreads are purely real or imaginary, so each product rounds as the
+    scalar DualComplex one does."""
     a, b = patch.alpha, patch.beta
-    sa, sb = 1.0 / math.sqrt(a), 1.0 / math.sqrt(b)
-    g = entries(patch.m_prime)
-    rights = [psip * sa] * a
-    lefts = [psim * sb] * b
-    for wave in range(a + b - 1):
-        for i in range(a):
-            j = wave - i
-            if 0 <= j < b:
-                lefts[j], rights[i] = _gate_apply(g, rights[i], lefts[j])
+    spread = DCVector(np.concatenate([patch.e_alpha.sig, patch.e_beta.sig])[:, 0])
 
-    out_minus, out_plus = _gate_apply(entries(patch.m), psip, psim)
-    diffs = [w - out_plus * sa for w in rights] + [w - out_minus * sb for w in lefts]
-    return float(np.max([size(d) for d in diffs]))  # NaN propagates
+    def encode(plus: DualComplex, minus: DualComplex) -> np.ndarray:
+        amps = DCVector(*np.repeat([[plus.sig, minus.sig], [plus.inf, minus.inf]], [a, b], 1))
+        return np.array(_leibniz(np.multiply, amps, spread))
+
+    g = gate(patch.m_prime)
+    wires = encode(psip, psim)
+    with np.errstate(invalid="ignore"):  # an infinite mass gives NaN, which fails
+        for wave in range(a + b - 1):
+            lo, hi, shift = max(0, wave - b + 1), min(a, wave + 1), a + b - 1 - wave
+            right, left = wires[:, lo:hi], wires[:, lo + shift:hi + shift]
+            pairs = DCMatrix(np.array([right[0], left[0]]), np.array([right[1], left[1]]))
+            sig, inf = _leibniz(lambda x, y: x[:, :1] * y[0] + x[:, 1:] * y[1], g, pairs)
+            (left[0], right[0]), (left[1], right[1]) = sig, inf  # rows (psi-, psi+)
+        out_minus, out_plus = _gate_apply(gate(patch.m), psip, psim)
+        d = wires - encode(out_plus, out_minus)
+        return float(np.max(np.hypot(d.real, d.imag)))  # NaN propagates
 
 
 def covariance_check(
@@ -304,8 +310,7 @@ def covariance_check(
         psim = DualComplex(psim)
 
     if mode == "dual_exact":
-        d = _covariance_discrepancy(patch, dirac_gate, psip, psim,
-                                    lambda w: (abs(w.sig), abs(w.inf)))
+        d = _covariance_discrepancy(patch, dirac_gate, psip, psim)
         return CovarianceReport("dual_exact", patch.alpha, patch.beta, d)
 
     if mode != "corrected":
@@ -313,9 +318,10 @@ def covariance_check(
     if not 0 < h < math.inf:
         raise ValueError(f"corrected mode needs a finite h > 0, got {h!r}")
 
-    def at(hh: float) -> float:  # plain complex amplitudes, the inputs at eps = hh
-        return _covariance_discrepancy(patch, lambda m: corrected_gate(m, hh),
-                                       psip.sig + hh * psip.inf, psim.sig + hh * psim.inf, abs)
+    def at(hh: float) -> float:  # conventional amplitudes: the inputs at eps = hh
+        return _covariance_discrepancy(patch, lambda m: DCMatrix(corrected_gate(m, hh)),
+                                       DualComplex(psip.sig + hh * psip.inf),
+                                       DualComplex(psim.sig + hh * psim.inf))
 
     ds = [at(h), at(h / 2.0), at(h / 4.0)]
     order = None

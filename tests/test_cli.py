@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -376,14 +377,17 @@ def _valid_inputs():
             normalize(DCVector(np.array([0.6, 0.8j]), np.array([0.25, -0.5j])))),
         "measurement": serialize.measurement_to_json(Measurement(
             (DCMatrix(np.diag([1.0, 0.0])), DCMatrix(np.diag([0.0, 1.0]), SZ * 1j)))),
+        "rectangular": serialize.measurement_to_json(Measurement(
+            (DCMatrix(0.6 * np.eye(2)), DCMatrix(np.array([[0.8, 0], [0, 0.8], [0, 0]]))))),
         "family": family,
     }
     translate = ["translate", "--correct", "--h", "0.05", "--out", "{out}"]
+    checks = [["check", "unitary"], ["check", "spectrum"], ["check", "semipositive"]]
     commands = {
-        "unitary": [["check", "unitary"], ["check", "spectrum"], ["check", "semipositive"],
-                    translate],
-        "state": [["check", "unitary"], ["check", "semipositive"]],
+        "unitary": [*checks, translate],
+        "state": checks,
         "measurement": [translate],
+        "rectangular": [translate],
         "family": [["translate", "--extend", "--out", "{out}"]],
     }
     return [(json.dumps(doc, indent=1).encode() + b"\n", argv)
@@ -404,9 +408,31 @@ def _corrupted(draw):
     return content[:at] + byte + content[at + (how == "flip"):], argv
 
 
+# One JSON value token, and what may replace it: values of the wrong type,
+# out of float range, non-standard constants and malformed containers.
+_VALUE_TOKEN = re.compile(rb'-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|"(?:[^"\\]|\\.)*"|true|false|null')
+_SWAPS = [b"1e400", b"-1e400", b"1e-400", b"NaN", b"Infinity", b"-Infinity", b"null", b"true",
+          b'"x"', b'""', b"[]", b"{}", b"[[1, 2]]", b"0", b"-0.0", b"-1", b"3", b"2.5"]
+
+
+@st.composite
+def _mutated(draw):
+    content, argv = draw(st.sampled_from(_VALID_INPUTS))
+    how = draw(st.sampled_from(["swap", "delete", "insert"]))
+    if how == "swap":
+        token = draw(st.sampled_from(list(_VALUE_TOKEN.finditer(content))))
+        swap = draw(st.sampled_from(_SWAPS))
+        return content[:token.start()] + swap + content[token.end():], argv
+    at = draw(st.integers(0, len(content) - 1))
+    if how == "delete":
+        return content[:at] + content[at + draw(st.integers(1, 8)):], argv
+    return content[:at] + draw(st.binary(min_size=1, max_size=8)) + content[at:], argv
+
+
 class TestCorruptedFiles:
-    """A valid input file with one byte flipped, inserted or cut off ends
-    in exit 0, 1 or 2, never in a traceback; an exit of 2 names the file."""
+    """A valid input file with one byte flipped, inserted or cut off, one
+    value token swapped, or a run of bytes deleted or inserted ends in
+    exit 0, 1 or 2, never in a traceback; an exit of 2 names the file."""
 
     def test_valid_inputs_are_accepted(self):
         for content, argv in _VALID_INPUTS:
@@ -431,6 +457,14 @@ class TestCorruptedFiles:
     @settings(max_examples=300, deadline=None)
     @given(_corrupted())
     def test_corruption_never_escapes(self, case):
+        rc, err, path = self._run(*case)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.startswith(f"error: {path}: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated())
+    def test_swapped_value_or_spliced_bytes_never_escape(self, case):
         rc, err, path = self._run(*case)
         assert rc in (0, 1, 2)
         if rc == 2:
@@ -484,6 +518,18 @@ class TestTranslateCommand:
                      "--in", str(src), "--out", str(dst)]) == 0
         back = serialize.load_tagged(str(dst))  # Measurement ctor re-validates
         assert isinstance(back, Measurement) and len(back.operators) == 2
+
+    def test_correct_rectangular_measurement(self, tmp_path):
+        # a 2x2 and a 3x2 operator: the dilation is 5x5 and the corrected
+        # blocks split at the operators' row counts
+        meas = Measurement((DCMatrix(0.6 * np.eye(2)),
+                            DCMatrix(np.array([[0.8, 0.0], [0.0, 0.8], [0.0, 0.0]]))))
+        src, dst = tmp_path / "m.json", tmp_path / "mc.json"
+        serialize.dump_json(serialize.measurement_to_json(meas), str(src))
+        assert main(["translate", "--correct", "--h", "0.1",
+                     "--in", str(src), "--out", str(dst)]) == 0
+        back = serialize.load_tagged(str(dst))
+        assert [op.shape for op in back.operators] == [(2, 2), (3, 2)]
 
     @pytest.mark.parametrize("edit, located", [
         (lambda f: f.pop("at_plus"), "missing key 'at_plus'"),

@@ -342,6 +342,19 @@ class TestMeasurementTranslation:
         total = sum(b.conj().T @ b for b in blocks)
         assert np.abs(total - np.eye(2)).max() < 1e-9
 
+    def test_rectangular_measurement_corrects(self):
+        # 0.6 I_2 and a 3x2 operator, with eps-parts i A M (A Hermitian)
+        # that keep the family complete to first order
+        r = np.array([[0.8, 0.0], [0.0, 0.8], [0.0, 0.0]])
+        a = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        m = Measurement((DCMatrix(0.6 * np.eye(2), 0.6j * SX), DCMatrix(r, 1j * a @ r)))
+        blocks = complex_correct_measurement(m, 0.1)
+        assert [b.shape for b in blocks] == [(2, 2), (3, 2)]
+        total = sum(b.conj().T @ b for b in blocks)
+        assert np.abs(total - np.eye(2)).max() < 1e-12
+        for got, op in zip(complex_correct_measurement(m, 0.0), m.operators):
+            assert np.abs(got - op.sig).max() < 1e-12
+
     def test_default_gauge_probabilities_agree_to_second_order(self):
         # outcome probabilities do not depend on the dilation gauge, so the
         # default Gram-Schmidt completion must agree with the source family

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,9 +263,11 @@ class TestLorentz:
                                             ("corrected", math.nan)])
     def test_non_finite_discrepancy_fails(self, mode, mass):
         # a NaN eps-part once dropped out of the reduction, so the check
-        # reported 0.0 and passed
+        # reported 0.0 and passed; the NaN shows in the verdict, not as a warning
         p = lorentz_encodings(2, 3, m=mass)
-        rep = covariance_check(p, (DualComplex(0.6, 0.1), DualComplex(0.3j)), mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = covariance_check(p, (DualComplex(0.6, 0.1), DualComplex(0.3j)), mode=mode)
         assert math.isnan(rep.max_discrepancy)
         assert not rep.passed
 
@@ -376,7 +379,8 @@ class TestFoldedPathsBitIdentical:
             for g, w in zip(got, want):
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
-    @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 3), (8, 8)])
+    @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 3), (8, 8), (1, 5), (5, 1),
+                                             (13, 7), (64, 64)])
     def test_covariance_both_modes(self, alpha, beta, rng):
         patch = lorentz_encodings(alpha, beta, m=0.9)
         for _ in range(3):
