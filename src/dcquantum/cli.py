@@ -23,6 +23,7 @@ from .linalg import (
     eig_hermitian,
     eig_unitary,
     OperatorKind,
+    _relative_defect,
     residual,
 )
 from .quantum import (
@@ -85,8 +86,8 @@ def cmd_walk(args) -> int:
 
 def _check_spectrum(m: DCMatrix, atol: float, delta: float):
     """Whether the dual spectrum of m, taken as Hermitian else unitary,
-    rebuilds m within atol times max(1, its largest entry modulus), and
-    that relative error; a matrix of neither kind fails with its smaller residual."""
+    rebuilds m within atol at each part's own scale, and that relative
+    error; a matrix of neither kind fails with its smaller residual."""
     try:
         spec = eig_hermitian(m, delta)
     except NotHermitian:
@@ -95,9 +96,7 @@ def _check_spectrum(m: DCMatrix, atol: float, delta: float):
         except NotUnitary:  # the Hermitian residual raises NonSquare on a state
             return False, min(residual(m, OperatorKind.HERMITIAN),
                               residual(m, OperatorKind.UNITARY))
-    rec = spec.reconstruct()
-    worst = max(float(np.abs(rec.sig - m.sig).max()), float(np.abs(rec.inf - m.inf).max()))
-    worst /= max(1.0, float(np.abs(m.sig).max()), float(np.abs(m.inf).max()))
+    worst = _relative_defect(spec.reconstruct() - m, m)
     return worst <= atol, worst
 
 

@@ -229,24 +229,23 @@ def divide_vector(v: DCVector, w: DualNumber) -> DCVector:
 # ---------------------------------------------------------------------------
 
 
-def _max_abs(*arrays) -> float:
-    """Largest modulus over the arrays; NaN if any entry is NaN."""
-    return float(np.max([np.abs(a).max(initial=0.0) for a in arrays]))
+def _relative_defect(d: DCMatrix, m: DCMatrix) -> float:
+    """The larger of each part's max-norm defect d over max(1, that part's
+    largest modulus in m), a backward error (Higham, ch. 1); NaN if d has one."""
+    return float(np.max([np.abs(dp).max(initial=0.0) / max(1.0, np.abs(mp).max(initial=0.0))
+                         for dp, mp in ((d.sig, m.sig), (d.inf, m.inf))]))
 
 
 def residual(m: DCMatrix, kind: OperatorKind) -> float:
-    """Max-norm defect of m from the identity that defines `kind`, over
-    both components: M^dag - M (Hermitian), M^dag + M (anti-Hermitian),
-    or M^dag M - I (unitary; for a non-square m, an isometry check)."""
+    """Relative defect of m from the identity that defines `kind`: M^dag - M
+    (Hermitian), M^dag + M (anti-Hermitian), or M^dag M - I (unitary; for a
+    non-square m, such as a state's column or a family's stack, an isometry check)."""
     adj = m.adjoint()
     if kind is OperatorKind.UNITARY:
-        prod = adj @ m
-        return _max_abs(prod.sig - np.eye(m.cols), prod.inf)
+        return _relative_defect(adj @ m - DCMatrix.identity(m.cols), m)
     if m.rows != m.cols:
         raise NonSquare(f"{kind.value} residual needs a square matrix, got {m.shape}")
-    if kind is OperatorKind.HERMITIAN:
-        return _max_abs(adj.sig - m.sig, adj.inf - m.inf)
-    return _max_abs(adj.sig + m.sig, adj.inf + m.inf)
+    return _relative_defect(adj - m if kind is OperatorKind.HERMITIAN else adj + m, m)
 
 
 def classify_op(m: DCMatrix, atol: float = 1e-10) -> frozenset:
@@ -510,16 +509,22 @@ def check_appreciably_semipositive(e: DCMatrix, tau: float = TAU) -> Semipositiv
 # ---------------------------------------------------------------------------
 
 
-def completeness_defect(family) -> float:
-    """Max-norm distance of sum_m M_m^dag M_m from the identity, over
-    both components; every M_m must have as many columns as M_0."""
+def _stack(family) -> DCMatrix:
+    """The family's operators stacked row-wise, each with as many columns as M_0."""
+    if not family:
+        raise IncompleteFamily("empty operator family")
     d = family[0].cols
-    acc = DCMatrix.zeros(d)
     for i, m in enumerate(family):
         if m.cols != d:
             raise DimMismatch(f"operator {i} has {m.cols} columns, operator 0 has {d}")
-        acc = acc + (m.adjoint() @ m)
-    return _max_abs(acc.sig - np.eye(d), acc.inf)
+    return DCMatrix(np.concatenate([m.sig for m in family]),
+                    np.concatenate([m.inf for m in family]))
+
+
+def completeness_defect(family) -> float:
+    """Relative defect of sum_m M_m^dag M_m from I + 0eps: the isometry
+    residual of the stacked family."""
+    return residual(_stack(family), OperatorKind.UNITARY)
 
 
 def stinespring(family) -> DCMatrix:
@@ -535,22 +540,18 @@ def stinespring(family) -> DCMatrix:
     The completion is deterministic but not canonical; only the first
     block-column is contractual.
     """
-    if not family:
-        raise IncompleteFamily("empty operator family")
-    d = family[0].cols
-    defect = completeness_defect(family)
+    v = _stack(family)
+    defect = residual(v, OperatorKind.UNITARY)
     if not defect <= _COMPLETE_ATOL:  # NaN fails too
         raise IncompleteFamily(
             f"sum M^dag M deviates from I by {defect:.3e} (atol {_COMPLETE_ATOL:.1e})"
         )
 
-    v0 = np.concatenate([m.sig for m in family])
-    v1 = np.concatenate([m.inf for m in family])
-    w0 = np.linalg.qr(v0, mode="complete")[0][:, d:]
+    w0 = np.linalg.qr(v.sig, mode="complete")[0][:, v.cols:]
     lead = w0[np.abs(w0).argmax(axis=0), np.arange(w0.shape[1])]
     w0 = w0 * (lead.conj() / np.abs(lead))
-    w1 = -v0 @ (v1.conj().T @ w0)
-    return DCMatrix(np.hstack([v0, w0]), np.hstack([v1, w1]))
+    w1 = -v.sig @ (v.inf.conj().T @ w0)
+    return DCMatrix(np.hstack([v.sig, w0]), np.hstack([v.inf, w1]))
 
 
 def dilation_block(u_eps: DCMatrix, m: int, d: int) -> DCMatrix:

@@ -26,6 +26,7 @@ from .linalg import (
     REQUIRE_ATOL,
     DCMatrix,
     DCVector,
+    OperatorKind,
     _hermitian_generator,
     completeness_defect,
     decompose_unitary,
@@ -37,6 +38,7 @@ from .linalg import (
     kron,
     mat_exp,
     norm_sq,
+    residual,
     stinespring,
     vnorm,
 )
@@ -47,16 +49,15 @@ FD_STEP = 1e-6  # central-difference step for derivative_at_zero
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Unit dual-complex vector: ||sig|| = 1 and Re<sig|inf> = 0."""
+    """Unit dual-complex vector, <v|v> = 1 + 0ε: its n x 1 column is an isometry."""
 
     vec: DCVector
 
     def __post_init__(self):
-        n = vnorm(self.vec)
-        if abs(n.sig - 1.0) > _COMPLETE_ATOL or abs(n.inf) > _COMPLETE_ATOL:
-            raise InfinitesimalVector(
-                f"state vector has dual norm {n}, expected 1 + 0ε"
-            )
+        defect = residual(DCMatrix(self.vec.sig[:, None], self.vec.inf[:, None]),
+                          OperatorKind.UNITARY)
+        if not defect <= _COMPLETE_ATOL:  # NaN fails too
+            raise InfinitesimalVector(f"<v|v> deviates from 1 + 0ε by {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -244,6 +245,10 @@ def measurement_from_complex(mats, labels=None) -> Measurement:
 
 
 def dilation_blocks(u_eps: DCMatrix, outcomes: int) -> list:
-    """All (<m| x I) U (|0> x I) blocks of a dilation unitary."""
+    """All (<m| x I) U (|0> x I) blocks of the dilation of `outcomes` d x d
+    operators; `complex_correct_measurement` splits a family of rectangular
+    operators at its row counts instead."""
+    if outcomes < 1 or u_eps.rows % outcomes:
+        raise DimMismatch(f"{u_eps.rows} rows do not split into {outcomes} equal blocks")
     d = u_eps.rows // outcomes
     return [dilation_block(u_eps, m, d) for m in range(outcomes)]

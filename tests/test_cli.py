@@ -168,7 +168,7 @@ class TestCheckSpectrumKind:
     finite residual for a matrix of neither kind."""
 
     def test_near_hermitian_passes_like_check_hermitian(self, tmp_path, capsys):
-        # Hermitian residual 5e-9: inside REQUIRE_ATOL, outside 1e-10
+        # Hermitian defect 5e-9 over the largest sig entry 4: inside REQUIRE_ATOL, outside 1e-10
         sig = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
         sig[0, 1] = 5e-9
         inf = np.array([[0.5, 1, 0, 0], [1, -1, 0, 0], [0, 0, 0, 2j], [0, 0, -2j, 3]])
@@ -178,15 +178,16 @@ class TestCheckSpectrumKind:
         assert main(["check", "spectrum", "--in", path]) == 0
         spectrum = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
         assert hermitian["pass"] is spectrum["pass"] is True
-        assert hermitian["worst_residual"] == 5e-9
+        assert hermitian["worst_residual"] == 5e-9 / 4
         assert spectrum["worst_residual"] <= 1e-8
 
     def test_non_normal_matrix_reports_the_smaller_residual(self, tmp_path, capsys):
-        # Hermitian residual 2, unitary residual max|M^dag M - I| = 4
+        # Hermitian defect 2 and unitary defect max|M^dag M - I| = 4, each over
+        # the largest entry 2
         path = write_unitary(tmp_path / "n.json", DCMatrix(np.array([[1.0, 2.0], [0.0, 1.0]])))
         assert main(["check", "spectrum", "--in", path]) == 1
         report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
-        assert report == {"check": "spectrum", "pass": False, "worst_residual": 2.0}
+        assert report == {"check": "spectrum", "pass": False, "worst_residual": 1.0}
 
     def test_near_unitary_is_taken_as_unitary(self, tmp_path, capsys):
         g = dirac_gate(0.7)
@@ -222,6 +223,15 @@ class TestCheckSpectrumKind:
         assert main(["check", "spectrum", "--in", path]) == 0
         report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
         assert report["pass"] is True and report["worst_residual"] <= 1e-15
+
+    def test_large_hermitian_to_rounding_passes(self, tmp_path, capsys):
+        # the entries 1e10 and 1e10 + 1e-5 are 5 ulps apart: an absolute defect of 9.5e-6
+        m = DCMatrix(np.array([[1e10, 1e10], [1e10 + 1e-5, 2e10]]))
+        path = write_unitary(tmp_path / "large.json", m)
+        for what in ("hermitian", "spectrum"):
+            assert main(["check", what, "--in", path]) == 0
+            report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+            assert report["pass"] is True and report["worst_residual"] <= 1e-15
 
     def test_state_has_no_spectrum(self, tmp_path, capsys):
         doc = serialize.state_to_json(normalize(DCVector(np.array([0.6, 0.8j]))))

@@ -284,6 +284,53 @@ def test_residual_per_kind():
     assert classify_op(nan) == frozenset()
 
 
+#: Hermitian to rounding: the lower off-diagonal entry is 5 ulps above the upper one.
+LARGE_HERMITIAN = DCMatrix(np.array([[1e10, 1e10], [1e10 + 1e-5, 2e10]]))
+
+
+def large_dual_unitary(rng, n=64, size=3e8):
+    """(I + i eps H) U with the largest modulus of its eps-part at `size`."""
+    u = random_dc_unitary(n, rng)
+    return DCMatrix(u.sig, u.inf * (size / np.abs(u.inf).max()))
+
+
+class TestResidualScale:
+    """Each part's defect is measured relative to max(1, that part's largest
+    entry modulus), so a matrix that is Hermitian or unitary to rounding
+    passes at any magnitude."""
+
+    def test_large_hermitian_to_rounding(self):
+        # the absolute Hermitian defect is 9.5e-6
+        assert residual(LARGE_HERMITIAN, OperatorKind.HERMITIAN) <= 1e-15
+        assert is_hermitian(LARGE_HERMITIAN, linalg.REQUIRE_ATOL)
+        spec = eig_hermitian(LARGE_HERMITIAN)
+        rebuilt = spec.reconstruct()
+        assert np.abs(rebuilt.sig - LARGE_HERMITIAN.sig).max() <= 1e-14 * 2e10
+
+    def test_large_dual_unitary(self, rng):
+        # the absolute eps-part defect is about 2e-7
+        m = large_dual_unitary(rng)
+        assert residual(m, OperatorKind.UNITARY) <= 1e-14
+        assert is_unitary(m)
+        spec = eig_unitary(m)
+        assert np.abs(np.abs(spec.values.sig) - 1.0).max() <= 1e-12
+
+    def test_each_part_at_its_own_scale(self):
+        # sig-part defect 2 over scale 2; the small eps-part keeps scale 1
+        m = DCMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[0.0, 1e-3], [0.0, 0.0]]))
+        assert residual(m, OperatorKind.HERMITIAN) == 1.0
+        # a large sig-part does not hide an eps-part defect
+        m = DCMatrix(np.diag([1e3, 1.0]), np.array([[0.0, 1e-3], [0.0, 0.0]]))
+        assert residual(m, OperatorKind.HERMITIAN) == 1e-3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_fails(self, bad):
+        for kind in OperatorKind:
+            for parts in ([[bad, 0], [0, 1]], np.eye(2)), (np.eye(2), [[0, bad], [0, 0]]):
+                with np.errstate(invalid="ignore"):
+                    assert not residual(DCMatrix(*parts), kind) <= 1e300
+
+
 @st.composite
 def _near_kind_matrices(draw):
     """A square or non-square dual matrix near a Hermitian or a unitary,

@@ -5,17 +5,30 @@ operators and dual-complex operators."""
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dc_unitary, random_dc_vector
+from dcquantum import linalg
 from dcquantum.errors import (
     DimMismatch,
+    IncompleteFamily,
     IncompleteMeasurement,
     InfinitesimalVector,
+    ModulusOfInfinitesimal,
     NotHermitian,
     NotUnitary,
     NotUnitaryAtZero,
 )
-from dcquantum.linalg import DCMatrix, DCVector, dilation_block, stinespring, vnorm
+from dcquantum.linalg import (
+    DCMatrix,
+    DCVector,
+    completeness_defect,
+    dilation_block,
+    eig_unitary,
+    stinespring,
+    vnorm,
+)
 from dcquantum.quantum import (
     Measurement,
     ParamUnitary,
@@ -85,6 +98,20 @@ class TestStatesAndNormalize:
         with pytest.raises(InfinitesimalVector):
             QuantumState(DCVector(np.array([1.0, 0.0]), np.array([0.5, 0.0])))
 
+    @pytest.mark.parametrize("sig, inf", [
+        ([np.nan, 0.0], [0.0, 0.0]),
+        ([1.0, 0.0], [0.0, np.nan]),
+        ([1.0, 0.0], [np.inf, 0.0]),
+        ([1.0, 0.0], [0.0, -np.inf]),
+    ], ids=["nan-sig", "nan-eps", "inf-eps", "inf-eps-off-support"])
+    def test_state_rejects_non_finite_vector(self, sig, inf):
+        with np.errstate(invalid="ignore"), pytest.raises(InfinitesimalVector):
+            QuantumState(DCVector(np.array(sig), np.array(inf)))
+
+    def test_infinitesimal_state_raises_infinitesimal_vector(self):
+        with pytest.raises(InfinitesimalVector):
+            QuantumState(DCVector(np.zeros(2), np.array([1.0, 0.0])))
+
 
 class TestEvolve:
     def test_identity(self):
@@ -113,6 +140,15 @@ class TestEvolve:
             out = evolve(s, random_dc_unitary(dim, rng))
             n = vnorm(out.vec)
             assert abs(n.sig - 1.0) < 1e-9 and abs(n.inf) < 1e-9
+
+    def test_large_dual_unitary(self, rng):
+        # (I + i eps H) U with eps-part entries near 3e8: an absolute defect of 2e-7
+        u = random_dc_unitary(64, rng)
+        u = DCMatrix(u.sig, u.inf * (3e8 / np.abs(u.inf).max()))
+        out = evolve(ket(64, 0), u)
+        assert np.array_equal(out.vec.sig, u.sig[:, 0])
+        assert np.array_equal(out.vec.inf, u.inf[:, 0])
+        assert len(eig_unitary(u).values) == 64
 
 
 class TestSchrodingerStep:
@@ -184,6 +220,8 @@ class TestMeasure:
     def test_incomplete_family_rejected(self):
         with pytest.raises(IncompleteMeasurement):
             measurement_from_complex([np.diag([1.0, 0.0])])
+        with pytest.raises(IncompleteFamily, match="empty"):
+            Measurement(())
 
     def test_dim_mismatch(self):
         m = measurement_from_complex([np.eye(2)])
@@ -382,3 +420,89 @@ class TestMeasurementTranslation:
             complex_correct_measurement(m, h, dilation=dilation), self.family(h)
         ):
             assert np.abs(got - ref).max() < 1e-6
+
+
+class TestDilationBlocks:
+    def test_square_family_round_trips(self, rng):
+        big = random_dc_unitary(6, rng)
+        blocks = dilation_blocks(big, 3)
+        assert [b.shape for b in blocks] == [(2, 2)] * 3
+        assert np.array_equal(blocks[2].inf, big.inf[4:6, :2])
+
+    @pytest.mark.parametrize("outcomes", [2, 3, 0, -1])
+    def test_rows_that_do_not_split_raise(self, outcomes):
+        # the 5x5 dilation of 0.6 I_2 and a 3x2 operator has no equal d x d blocks
+        r = np.array([[0.8, 0.0], [0.0, 0.8], [0.0, 0.0]])
+        u = stinespring((DCMatrix(0.6 * np.eye(2)), DCMatrix(r)))
+        with pytest.raises(DimMismatch):
+            dilation_blocks(u, outcomes)
+
+
+def _unit_disk(rng, shape):
+    """Complex entries of modulus at most 1."""
+    return (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)) / np.sqrt(2)
+
+
+@st.composite
+def _families(draw):
+    """1 to 4 operators with a common column count, square or rectangular,
+    entries of modulus at most 1 in both parts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return tuple(DCMatrix(_unit_disk(rng, (r, d)), _unit_disk(rng, (r, d))) for r in rows)
+
+
+def _summed_completeness_defect(family):
+    """The former formula: the max-norm distance of sum_m M_m^dag M_m,
+    accumulated operator by operator, from I + 0eps."""
+    d = family[0].cols
+    acc = DCMatrix.zeros(d)
+    for m in family:
+        acc = acc + (m.adjoint() @ m)
+    return max(np.abs(acc.sig - np.eye(d)).max(), np.abs(acc.inf).max())
+
+
+def _norm_predicate(vec):
+    """The former state test: the dual norm is 1 + 0eps within the completeness
+    tolerance, and an infinitesimal vector is no state."""
+    try:
+        n = vnorm(vec)
+    except ModulusOfInfinitesimal:
+        return False, float("inf")
+    worst = max(abs(n.sig - 1.0), abs(n.inf))
+    return worst <= linalg._COMPLETE_ATOL, worst
+
+
+class TestOneIsometryResidual:
+    """A family's stack and a state's column are checked by the isometry
+    residual, which agrees with the formulas it replaced."""
+
+    @given(_families())
+    @settings(max_examples=300, deadline=None)
+    def test_completeness_defect_is_the_summed_defect(self, family):
+        assert abs(completeness_defect(family) - _summed_completeness_defect(family)) <= 1e-14
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6),
+           st.sampled_from([0.0, 1e-13, 1e-11, 1e-8, 1e-6, 1e-3, 0.5, 1.0]),
+           st.sampled_from([-1.0, 1.0]),
+           st.sampled_from([0.0, 1e-13, 1e-11, 1e-8, 1e-6, 1e-3, 0.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_state_accepts_as_the_norm_predicate(self, seed, dim, stretch, sign, drift):
+        # a unit vector, its length off by `stretch` and Re<sig|inf> by `drift`
+        rng = np.random.default_rng(seed)
+        sig = _unit_disk(rng, dim)
+        sig /= np.linalg.norm(sig)
+        inf = 0.5 * _unit_disk(rng, dim)
+        inf -= np.vdot(sig, inf).real * sig
+        vec = DCVector(sig * (1.0 + sign * stretch), inf + drift * sig)
+        assume(max(np.abs(vec.sig).max(), np.abs(vec.inf).max()) <= 1.0)
+        ok, worst = _norm_predicate(vec)
+        tol = linalg._COMPLETE_ATOL
+        assume(not tol / 10 < worst < 10 * tol)
+        try:
+            QuantumState(vec)
+            accepted = True
+        except InfinitesimalVector:
+            accepted = False
+        assert accepted == ok
