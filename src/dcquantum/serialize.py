@@ -11,6 +11,7 @@ encoding.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from itertools import chain, repeat
@@ -151,21 +152,30 @@ def tagged_from_json(data):
     raise MalformedInput(f"unknown kind tag: {kind!r}")
 
 
+def _read_text(path: str, error=MalformedInput) -> str:
+    """The content of the file at `path`, decoded as UTF-8; a file that
+    cannot be read or decoded raises `error` saying why."""
+    try:
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
+    except UnicodeDecodeError as e:
+        message = f"not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}"
+    except OSError as e:
+        message = e.strerror
+    raise error(message)
+
+
 def _read_json(path: str):
     """The JSON value held by the file at `path`, decoded as UTF-8; a
     file that cannot be read, decoded or parsed raises MalformedInput
     saying where."""
+    text = _read_text(path)
     try:
-        with open(path, "rb") as f:
-            return json.loads(f.read().decode("utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as e:
         message = f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-    except UnicodeDecodeError as e:
-        message = f"not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}"
     except RecursionError:
         message = "nested too deeply for the JSON decoder"
-    except OSError as e:
-        message = e.strerror
     raise MalformedInput(message)
 
 
@@ -199,16 +209,29 @@ def write_trajectory_csv(snapshots, path: str) -> None:
     """Write snapshots as CSV rows t_step, x_index, then the real and
     imaginary parts of psi+ (sig, inf) and psi- (sig, inf), each float
     as its repr: the bytes the csv module's default dialect writes for
-    those rows, built one snapshot at a time."""
+    those rows, built one snapshot at a time.
+
+    Only live rows, those with a set bit (-0.0 and NaN included), are
+    formatted.  Every other row is t_step followed by
+    ",x,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0", taken from a table built once
+    per site count.  Outside a point source's light cone almost every
+    row is such a dark row, and its repr could only be "0.0"."""
+    dark_rows = {}
     with open(path, "w", newline="") as f:
         f.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for snap in snapshots:
-            parts = (snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf)
-            columns = [map(repr, c.tolist()) for p in parts for c in (p.real, p.imag)]
-            rows = zip(repeat(str(snap.time)), map(str, range(snap.sites)), *columns)
-            lines = "\r\n".join(map(",".join, rows))
-            if lines:  # a snapshot with no sites has no rows
-                f.write(lines + "\r\n")
+            n = snap.sites
+            if not n:  # a snapshot with no sites has no rows
+                continue
+            t = str(snap.time)
+            parts = np.stack((snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf), 1)
+            live = np.flatnonzero(parts.view(np.uint64).any(axis=1))
+            columns = map(map, repeat(repr), parts[live].view(float).T.tolist())
+            if n not in dark_rows:
+                dark_rows[n] = np.array([f",{x}" + ",0.0" * 8 for x in range(n)], dtype=object)
+            lines = t + dark_rows[n]  # an object array of fresh strings
+            lines[live] = list(map(",".join, zip(repeat(t), map(str, live.tolist()), *columns)))
+            f.write("\r\n".join(lines) + "\r\n")
 
 
 def read_trajectory_csv(path: str) -> list:
@@ -219,18 +242,19 @@ def read_trajectory_csv(path: str) -> list:
     x_index = 0 .. sites-1 once each, with the same number of sites as
     the first snapshot."""
     by_step: dict = {}
-    with open(path) as f:
-        reader = csv.DictReader(f)
+    # universal newlines, as open() in text mode reads them
+    reader = csv.DictReader(io.StringIO(_read_text(path, MalformedTrajectory), newline=None))
+    try:
         missing = [c for c in TRAJECTORY_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise MalformedTrajectory(f"header lacks column {missing[0]!r}")
         for row in reader:
-            try:
-                t, x = int(row["t_step"]), int(row["x_index"])
-                values = [float(row[c]) for c in TRAJECTORY_COLUMNS[2:]]
-            except (TypeError, ValueError) as e:
-                raise MalformedTrajectory(f"line {reader.line_num}: {e}") from None
+            t, x = int(row["t_step"]), int(row["x_index"])
+            values = [float(row[c]) for c in TRAJECTORY_COLUMNS[2:]]
             by_step.setdefault(t, []).append((x, values))
+    except (TypeError, ValueError, csv.Error) as e:
+        # the csv reader's count: DictReader's is updated only once a row parses
+        raise MalformedTrajectory(f"line {reader.reader.line_num}: {e}") from None
     snaps = []
     for t in sorted(by_step):
         rows = sorted(by_step[t], key=lambda r: r[0])

@@ -199,6 +199,48 @@ class TestMatrixRejectsMalformed:
             tagged_from_json(doc)
 
 
+def _write_reference_csv(snaps, path):
+    """The csv-module writer that write_trajectory_csv replaced, kept as
+    the reference for its bytes: one writerow per site."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(TRAJECTORY_COLUMNS)
+        for snap in snaps:
+            for x in range(snap.sites):
+                p, mns = snap.plus[x], snap.minus[x]
+                writer.writerow([snap.time, x] + [repr(v) for v in (
+                    p.sig.real, p.sig.imag, p.inf.real, p.inf.imag,
+                    mns.sig.real, mns.sig.imag, mns.inf.real, mns.inf.imag)])
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -2.5e-310, float("nan"), float("inf"),
+                                -float("inf"), 1 / 3, -1e300])
+
+
+@st.composite
+def _row(draw):
+    """Eight floats: all +0.0, one -0.0, one other entry, or any eight."""
+    row = [0.0] * 8
+    kind = draw(st.sampled_from(["zero", "negative zero", "single", "dense"]))
+    if kind == "negative zero":
+        row[draw(st.integers(0, 7))] = -0.0
+    elif kind == "single":
+        row[draw(st.integers(0, 7))] = draw(_EDGE_FLOATS | st.floats())
+    elif kind == "dense":
+        row = draw(st.lists(_EDGE_FLOATS | st.floats(), min_size=8, max_size=8))
+    return row
+
+
+def _snapshot(sites):
+    """A WalkState of `sites` rows drawn by _row, at a drawn time."""
+    def build(rows, time):
+        parts = np.array(rows, dtype=float).reshape(sites, 8).view(complex)
+        return WalkState(DCVector(parts[:, 0], parts[:, 1]),
+                         DCVector(parts[:, 2], parts[:, 3]), time=time)
+    return st.builds(build, st.lists(_row(), min_size=sites, max_size=sites),
+                     st.integers(0, 10**6))
+
+
 class TestTrajectory:
     def test_round_trip(self, tmp_path):
         snaps = run(point_source(6, x0=2), m=0.8, steps=3)
@@ -234,19 +276,38 @@ class TestTrajectory:
         write_trajectory_csv(snaps, str(path))
 
         ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(TRAJECTORY_COLUMNS)
-            for snap in snaps:
-                for x in range(snap.sites):
-                    p, mns = snap.plus[x], snap.minus[x]
-                    writer.writerow([snap.time, x] + [repr(v) for v in (
-                        p.sig.real, p.sig.imag, p.inf.real, p.inf.imag,
-                        mns.sig.real, mns.sig.imag, mns.inf.real, mns.inf.imag)])
+        _write_reference_csv(snaps, ref)
         data = path.read_bytes()
         assert data == ref.read_bytes()
         assert b",-0.0," in data and b",5e-324," in data and b"2.5e-310" in data
         assert any(s.plus.inf.any() for s in snaps)
+
+    @given(snaps=st.lists(st.integers(0, 6).flatmap(_snapshot), max_size=6),
+           one_shot=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_reference_on_any_snapshots(self, tmp_path_factory, snaps, one_shot):
+        """Rows of +0.0 only, rows whose one set bit is a -0.0, single
+        entries, NaN, infinities and subnormals, in snapshots whose site
+        count changes from one to the next (zero included), passed as a
+        list or as a one-shot generator."""
+        work = tmp_path_factory.mktemp("traj")
+        write_trajectory_csv(iter(snaps) if one_shot else snaps, str(work / "traj.csv"))
+        _write_reference_csv(snaps, work / "ref.csv")
+        assert (work / "traj.csv").read_bytes() == (work / "ref.csv").read_bytes()
+
+    def test_wrapped_walk_round_trips_bit_exactly(self, tmp_path):
+        """On 64 sites the light cone wraps round the ring well before
+        step 500, so the late snapshots are live on every other site."""
+        snaps = run(point_source(64), 0.3, 500, 1)
+        path = str(tmp_path / "wrap.csv")
+        write_trajectory_csv(snaps, path)
+        back = read_trajectory_csv(path)
+        assert np.count_nonzero(back[-1].minus.inf) == 32
+        assert [s.time for s in back] == [s.time for s in snaps]
+        for a, b in zip(snaps, back):
+            for u, v in ((a.plus.sig, b.plus.sig), (a.plus.inf, b.plus.inf),
+                         (a.minus.sig, b.minus.sig), (a.minus.inf, b.minus.inf)):
+                assert np.array_equal(u.view(np.uint64), v.view(np.uint64))
 
 
 def _trajectory_lines(tmp_path):
@@ -288,3 +349,33 @@ class TestTrajectoryRejectsMalformed:
         path.write_text("".join(edit(lines)))
         with pytest.raises(MalformedTrajectory, match=re.escape(message)):
             read_trajectory_csv(str(path))
+
+
+class TestTrajectoryRejectsUnreadable:
+    """A trajectory that cannot be read, decoded as UTF-8 or split into
+    fields raises MalformedTrajectory saying where, worded as load_tagged
+    words the same faults."""
+
+    def test_non_utf8_byte(self, tmp_path):
+        path, _ = _trajectory_lines(tmp_path)
+        data = path.read_bytes()
+        offset = data.index(b"\r\n1,") + 2
+        path.write_bytes(data[:offset] + b"\xe9" + data[offset + 1:])
+        message = f"^not UTF-8: byte 0xe9 at offset {offset}$"
+        with pytest.raises(MalformedTrajectory, match=message):
+            read_trajectory_csv(str(path))
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        path, lines = _trajectory_lines(tmp_path)
+        lines[3] = lines[3].replace(",0.0,", "," + "0" * 200_000 + ",", 1)
+        path.write_text("".join(lines))
+        with pytest.raises(MalformedTrajectory, match=r"^line 4: field larger than field limit"):
+            read_trajectory_csv(str(path))
+
+    def test_missing_path(self, tmp_path):
+        with pytest.raises(MalformedTrajectory, match="^No such file or directory$"):
+            read_trajectory_csv(str(tmp_path / "absent.csv"))
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(MalformedTrajectory, match="^Is a directory$"):
+            read_trajectory_csv(str(tmp_path))
