@@ -237,24 +237,28 @@ def write_trajectory_csv(snapshots, path: str) -> None:
 def read_trajectory_csv(path: str) -> list:
     """Read back a trajectory as a list of WalkState snapshots.
 
-    The header must name every column of TRAJECTORY_COLUMNS, every field
-    must parse as its number, and every snapshot must hold the rows
-    x_index = 0 .. sites-1 once each, with the same number of sites as
-    the first snapshot."""
+    The header must name every column of TRAJECTORY_COLUMNS, every line
+    after it must hold as many fields as the header (a blank line holds
+    none), every field must parse as its number, and every snapshot must
+    hold the rows x_index = 0 .. sites-1 once each, with the same number
+    of sites as the first snapshot."""
     by_step: dict = {}
     # universal newlines, as open() in text mode reads them
-    reader = csv.DictReader(io.StringIO(_read_text(path, MalformedTrajectory), newline=None))
+    reader = csv.reader(io.StringIO(_read_text(path, MalformedTrajectory), newline=None))
     try:
-        missing = [c for c in TRAJECTORY_COLUMNS if c not in (reader.fieldnames or ())]
+        header = next(reader, [])
+        missing = [c for c in TRAJECTORY_COLUMNS if c not in header]
         if missing:
             raise MalformedTrajectory(f"header lacks column {missing[0]!r}")
-        for row in reader:
-            t, x = int(row["t_step"]), int(row["x_index"])
-            values = [float(row[c]) for c in TRAJECTORY_COLUMNS[2:]]
-            by_step.setdefault(t, []).append((x, values))
-    except (TypeError, ValueError, csv.Error) as e:
-        # the csv reader's count: DictReader's is updated only once a row parses
-        raise MalformedTrajectory(f"line {reader.reader.line_num}: {e}") from None
+        column = {c: i for i, c in enumerate(header)}  # a repeated name: its last column
+        t_at, x_at, *value_at = (column[c] for c in TRAJECTORY_COLUMNS)
+        for fields in reader:
+            if len(fields) != len(header):
+                raise ValueError(f"{len(fields)} fields, but the header has {len(header)}")
+            values = [float(fields[i]) for i in value_at]
+            by_step.setdefault(int(fields[t_at]), []).append((int(fields[x_at]), values))
+    except (ValueError, csv.Error) as e:
+        raise MalformedTrajectory(f"line {reader.line_num}: {e}") from None
     snaps = []
     for t in sorted(by_step):
         rows = sorted(by_step[t], key=lambda r: r[0])

@@ -69,53 +69,53 @@ def point_source(sites: int, x0: Optional[int] = None) -> WalkState:
     return WalkState(DCVector(plus), DCVector(np.zeros(sites, dtype=complex)))
 
 
-# (destination, source) slice pairs of a periodic shift by one site.
-_SHIFT_RIGHT = ((np.s_[1:], np.s_[:-1]), (np.s_[:1], np.s_[-1:]))
-_SHIFT_LEFT = ((np.s_[:-1], np.s_[1:]), (np.s_[-1:], np.s_[:1]))
-
-
-def _advance(sig_out, inf_out, own: DCVector, other_sig, coupling, shift) -> None:
-    """One mover's update, written in place:
-    sig_out = roll(own.sig), inf_out = roll(own.inf - coupling*other_sig)."""
-    for dst, src in shift:
-        sig_out[dst] = own.sig[src]
-        inf = inf_out[dst]
-        np.multiply(coupling, other_sig[src], out=inf)
-        np.subtract(own.inf[src], inf, out=inf)
-
-
 def step(w: WalkState, m: float) -> WalkState:
     """One walk step: at each site, (psi-_out at x-1, psi+_out at x+1) =
-    gate . (psi+(x), psi-(x)), periodic.
+    gate . (psi+(x), psi-(x)), periodic.  The one-step `run`."""
+    return run(w, m, 1)[-1]
 
-    The four parts of the new state are computed straight into the rows
-    of one fresh block, which the state then owns read-only, so
-    snapshots never share buffers.  A step makes no temporaries: in a
-    loop that drops old states the allocator reuses a freed block,
-    whereas field-sized temporaries go back to the OS and are faulted in
-    again on every step."""
-    # gate rows: psi-_out = psi- - i m eps psi+ ; psi+_out = psi+ - i m eps psi-
-    # evaluated as inf - (1j*m)*sig, elementwise, so every bit (signed
-    # zeros included) is that of the plain np.roll recurrence
-    coupling = 1j * m
-    plus_sig, plus_inf, minus_sig, minus_inf = np.empty((4, w.sites), dtype=complex)
-    _advance(plus_sig, plus_inf, w.plus, w.minus.sig, coupling, _SHIFT_RIGHT)
-    _advance(minus_sig, minus_inf, w.minus, w.plus.sig, coupling, _SHIFT_LEFT)
-    return WalkState(
-        DCVector._owning(plus_sig, plus_inf),
-        DCVector._owning(minus_sig, minus_inf),
-        time=w.time + 1,
-    )
+
+def _rotate(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
+    """dst = np.roll(src, shift), as two slice copies."""
+    n = len(src)
+    k = shift % max(n, 1)
+    dst[k:], dst[:k] = src[:n - k], src[n - k:]
 
 
 def run(w: WalkState, m: float, steps: int, record_every: int = 1) -> list:
-    """Iterate `step`, returning snapshots [initial, ...] at the given
-    interval (the final state is always included)."""
+    """Walk `steps` steps in closed form, returning snapshots [initial,
+    ...] at the given interval (the final state is always included).
+
+    The gate's sig-part only routes, so each sig-part is the initial one
+    carried t sites.  The mass acts at first order: step t subtracts
+    (1j*m) * psi-.sig0[y + 2t - 2] from psi+.inf in its comoving frame
+    y = x - t, and (1j*m) * psi+.sig0[y - 2t + 2] from psi-.inf in
+    y = x + t.  Each product is made once and laid out twice over, so a
+    step is one in-place subtraction of a window per mover, with the
+    operands and order of the stepping recurrence inf - (1j*m)*sig: every
+    bit but a NaN's sign is the recurrence's, signed zeros included.
+    Snapshots are fresh (4, n) blocks, owned read-only."""
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every!r}")
+    n, ring = w.sites, max(w.sites, 1)
+    into_plus, into_minus = np.empty((2, 2 * n), dtype=complex)
+    np.multiply(1j * m, w.minus.sig, out=into_plus[:n])
+    np.multiply(1j * m, w.plus.sig, out=into_minus[:n])
+    into_plus[n:], into_minus[n:] = into_plus[:n], into_minus[:n]
+    plus_inf, minus_inf = w.plus.inf.copy(), w.minus.inf.copy()
     snaps = [w]
-    for n in range(1, steps + 1):
-        w = step(w, m)
-        if n % record_every == 0 or n == steps:
-            snaps.append(w)
+    for t in range(1, steps + 1):
+        k = (2 * t - 2) % ring
+        np.subtract(plus_inf, into_plus[k:k + n], out=plus_inf)
+        k = (2 - 2 * t) % ring
+        np.subtract(minus_inf, into_minus[k:k + n], out=minus_inf)
+        if t % record_every == 0 or t == steps:
+            block = np.empty((4, n), dtype=complex)
+            for dst, src, shift in zip(block, (w.plus.sig, plus_inf, w.minus.sig, minus_inf),
+                                       (t, t, -t, -t)):
+                _rotate(dst, src, shift)
+            snaps.append(WalkState(DCVector._owning(block[0], block[1]),
+                                   DCVector._owning(block[2], block[3]), time=w.time + t))
     return snaps
 
 

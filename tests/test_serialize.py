@@ -340,6 +340,10 @@ class TestTrajectoryRejectsMalformed:
          "line 3: invalid literal for int"),
         (lambda lines: lines[:5] + [lines[5].rsplit(",", 2)[0] + "\r\n"] + lines[6:],
          "line 6: "),
+        (lambda lines: lines[:3] + [lines[3].rstrip() + ",7.5,junk\r\n"] + lines[4:],
+         "line 4: 12 fields, but the header has 10"),
+        (lambda lines: lines[:4] + ["\r\n"] + lines[4:], "line 5: 0 fields, but the header has 10"),
+        (lambda lines: lines + ["\r\n"], "line 14: 0 fields, but the header has 10"),
         (lambda lines: [lines[0].replace("psiplus_re_sig", "psiplus_re")] + lines[1:],
          "header lacks column 'psiplus_re_sig'"),
         (lambda lines: [], "header lacks column 't_step'"),

@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dcquantum.errors import PatchMismatch
 from dcquantum.linalg import OperatorKind, classify_op, decompose_unitary
@@ -132,6 +135,120 @@ class TestStep:
     def test_mismatched_fields_rejected(self):
         with pytest.raises(PatchMismatch):
             WalkState(DCVector(np.zeros(3)), DCVector(np.zeros(4)))
+
+
+def _roll_walk(ps, pi, ms, mi, m, steps, record_every):
+    """The plain np.roll stepping recurrence, kept as the bit-exact
+    reference for `run`: the four parts at every recorded time."""
+    snaps = [(0, ps, pi, ms, mi)]
+    for n in range(1, steps + 1):
+        ps, pi, ms, mi = (np.roll(ps, 1), np.roll(pi - 1j * m * ms, 1),
+                          np.roll(ms, -1), np.roll(mi - 1j * m * ps, -1))
+        if n % record_every == 0 or n == steps:
+            snaps.append((n, ps, pi, ms, mi))
+    return snaps
+
+
+def _dyson_walk(ps, pi, ms, mi, m, t):
+    """The walk at time t as its Dyson series, which ends at first order
+    over C[eps]: the sig-parts are the initial ones carried t sites, and
+    the eps-parts gain one term -(i m) sig_other per step s < t, carried
+    the t - s sites left to go after being sourced s sites along."""
+    plus_inf = np.roll(pi, t) - sum((np.roll(1j * m * ms, t - 2 * s) for s in range(t)),
+                                    np.zeros_like(pi))
+    minus_inf = np.roll(mi, -t) - sum((np.roll(1j * m * ps, 2 * s - t) for s in range(t)),
+                                      np.zeros_like(mi))
+    return np.roll(ps, t), plus_inf, np.roll(ms, -t), minus_inf
+
+
+def _parts(w: WalkState):
+    return w.plus.sig, w.plus.inf, w.minus.sig, w.minus.inf
+
+
+def _field_bits(a: np.ndarray) -> bytes:
+    """The bytes of a complex array with every NaN component made one
+    NaN.  IEEE 754 leaves the sign of a NaN made from NaN or inf*0
+    operands open, and numpy's vector and scalar multiply loops settle
+    it differently (the np.roll recurrence itself gives a position-
+    dependent sign for an infinite mass), so only where NaNs stand is
+    compared; the CSV writes every NaN as "nan" in any case."""
+    parts = a.view(float).copy()
+    parts[np.isnan(parts)] = math.nan
+    return parts.tobytes()
+
+
+# reals that walks get wrong first: signed zeros, subnormals, NaN
+_EDGE_REALS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, math.nan, 1.0, -0.7])
+_MASSES = st.sampled_from([0.0, -0.0, 0.7, -2.3, 1e3, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _walks(draw, reals, masses):
+    """(four parts, mass, steps, record_every) on 0-70 sites, walked up
+    to three times round the ring."""
+    sites = draw(st.integers(0, 70))
+    parts = draw(hnp.arrays(np.float64, (4, sites, 2), elements=reals))
+    steps = draw(st.integers(0, 3 * max(sites, 1)))
+    return (tuple(parts.view(complex)[..., 0]), draw(masses), steps,
+            draw(st.integers(1, 7)))
+
+
+def _state(parts) -> WalkState:
+    ps, pi, ms, mi = parts
+    return WalkState(DCVector(ps, pi), DCVector(ms, mi))
+
+
+class TestRun:
+    @given(walk=_walks(st.one_of(_EDGE_REALS, st.floats(-4.0, 4.0)), _MASSES))
+    @example(walk=((np.zeros(0, complex),) * 4, 0.7, 3, 1))
+    @example(walk=((np.array([1.0 + 0j]), np.array([-0.0j]), np.array([0.5j]),
+                    np.array([-0.0 + 0j])), -2.3, 4, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_roll_recurrence(self, walk):
+        """Every recorded snapshot's four parts, to the bit (signed zeros
+        included; NaN by position), against the stepping recurrence."""
+        parts, m, steps, every = walk
+        with np.errstate(all="ignore"):  # an infinite or NaN mass makes NaN
+            want = _roll_walk(*parts, m, steps, every)
+            got = run(_state(parts), m, steps, every)
+        assert [s.time for s in got] == [t for t, *_ in want]
+        for snap, (_, *ref) in zip(got, want):
+            for a, b in zip(_parts(snap), ref):
+                assert _field_bits(a) == _field_bits(b)
+
+    @given(walk=_walks(st.floats(-4.0, 4.0), st.sampled_from([0.0, 0.7, -2.3, 1e3])))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dyson_series(self, walk):
+        """Each snapshot against the closed form psi(t) = S^t psi0 +
+        eps sum_{s<t} S^(t-1-s) C S^s psi0, C = -i m sigma_x.  The
+        sig-parts are transport, so they agree exactly.  The eps-parts add
+        the same t + 1 terms in another order: each side rounds each
+        component t times, by at most half an ulp of a partial sum, whose
+        modulus is at most B = (1 + t|m|) 4 sqrt(2) for entries in
+        [-4, 4]; so the two differ in modulus by at most sqrt(2) t eps B."""
+        parts, m, steps, every = walk
+        ps, pi, ms, mi = parts
+        for snap in run(_state(parts), m, steps, every):
+            t = snap.time
+            want = _dyson_walk(ps, pi, ms, mi, m, t)
+            tol = 8 * t * np.finfo(float).eps * (1 + t * abs(m))  # sqrt(2) t eps B
+            for i, (a, b) in enumerate(zip(_parts(snap), want)):
+                if i % 2 == 0:
+                    assert a.tobytes() == b.tobytes()
+                else:
+                    np.testing.assert_allclose(a, b, rtol=0, atol=tol)
+
+    def test_times_offset_from_initial_state(self):
+        w = WalkState(point_source(5).plus, point_source(5).minus, time=7)
+        snaps = run(w, 0.4, 4, 3)
+        assert snaps[0] is w
+        assert [s.time for s in snaps] == [7, 10, 11]
+        assert step(w, 0.4).time == 8
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_record_every_below_one_rejected(self, every):
+        with pytest.raises(ValueError, match=r"^record_every must be >= 1, got "):
+            run(point_source(4), 0.5, 3, every)
 
 
 class TestContinuumResidual:
