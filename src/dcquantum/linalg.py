@@ -533,12 +533,9 @@ def stinespring(family) -> DCMatrix:
     Builds the isometry V = V0 + eps V1 = sum_m |m><0| x M_m
     (ancilla-first ordering, so block row m holds M_m and the first d
     columns stack the M_m, R rows in all) and completes it to an R x R
-    dual-complex unitary [V, W] in closed form.  W0 holds the complement
-    columns of the complete QR factorization of V0, each multiplied by
-    the phase that makes its first largest-modulus entry real and positive;
-    W1 = -V0 (V1^dag W0), which makes [V, W] unitary to first order.
-    The completion is deterministic but not canonical; only the first
-    block-column is contractual.
+    dual-complex unitary [V, W] by `_complete_isometry`.  The completion
+    is deterministic but not canonical; only the first block-column is
+    contractual.
     """
     v = _stack(family)
     defect = residual(v, OperatorKind.UNITARY)
@@ -546,7 +543,15 @@ def stinespring(family) -> DCMatrix:
         raise IncompleteFamily(
             f"sum M^dag M deviates from I by {defect:.3e} (atol {_COMPLETE_ATOL:.1e})"
         )
+    return _complete_isometry(v)
 
+
+def _complete_isometry(v: DCMatrix) -> DCMatrix:
+    """[V, W] for an R x d dual isometry V = V0 + eps V1, in closed form:
+    W0 holds the complement columns of the complete QR factorization of
+    V0, each multiplied by the phase that makes its first largest-modulus
+    entry real and positive; W1 = -V0 (V1^dag W0), which makes [V, W]
+    unitary to first order.  V is taken as checked."""
     w0 = np.linalg.qr(v.sig, mode="complete")[0][:, v.cols:]
     lead = w0[np.abs(w0).argmax(axis=0), np.arange(w0.shape[1])]
     w0 = w0 * (lead.conj() / np.abs(lead))

@@ -8,6 +8,7 @@ h-parametrized conventional operators and dual-complex operators.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,7 +28,9 @@ from .linalg import (
     DCMatrix,
     DCVector,
     OperatorKind,
+    _complete_isometry,
     _hermitian_generator,
+    _stack,
     completeness_defect,
     decompose_unitary,
     dilation_block,
@@ -39,7 +42,6 @@ from .linalg import (
     mat_exp,
     norm_sq,
     residual,
-    stinespring,
     vnorm,
 )
 from .scalar import TAU, DualReal
@@ -119,19 +121,48 @@ def normalize(v: DCVector) -> QuantumState:
     return QuantumState(divide_vector(v, vnorm(v)))
 
 
-def evolve(s: QuantumState, u_eps: DCMatrix) -> QuantumState:
+def _require_dim(u_eps: DCMatrix, s: QuantumState) -> None:
     if u_eps.cols != s.dim:
         raise DimMismatch(f"operator {u_eps.shape} on state of dim {s.dim}")
+
+
+def evolve(s: QuantumState, u_eps: DCMatrix) -> QuantumState:
+    _require_dim(u_eps, s)
     if not is_unitary(u_eps, REQUIRE_ATOL):
         raise NotUnitary("evolution requires a dual-complex unitary")
     return QuantumState(u_eps @ s.vec)
 
 
+# The last propagator that passed its checks, as (weak reference to H_eps,
+# bytes of -i dt, exp(-i dt H_eps)): one slot beside the generator, not on
+# it, so a DCMatrix compares, copies and pickles as before.  It is read and
+# replaced whole, so concurrent callers can cost each other a miss, never a
+# wrong propagator.
+_propagator = (None, None, None)
+
+
 def schrodinger_step(s: QuantumState, h_eps: DCMatrix, dt: float) -> QuantumState:
-    """Evolve by exp(-i dt H_eps), hbar = 1."""
+    """Evolve by exp(-i dt H_eps), hbar = 1.
+
+    The propagator is built and checked once, then reused while the same
+    H_eps object and the same bits of -i dt repeat (Moler & Van Loan
+    2003); so dt = 0.0 and -0.0 are two keys, and a failed check is never
+    kept.  The dimension check runs on every call."""
+    global _propagator
+    w = -1j * dt
+    bits = np.asarray(w)
+    key = bits.tobytes() if bits.dtype.kind == "c" else None  # None: never kept
+    held, held_key, u_eps = _propagator
+    if key is not None and key == held_key and held() is h_eps:
+        _require_dim(u_eps, s)
+        return QuantumState(u_eps @ s.vec)
     if not is_hermitian(h_eps, REQUIRE_ATOL):
         raise NotHermitian("schrodinger_step requires a Hermitian generator")
-    return evolve(s, mat_exp(h_eps.scale(-1j * dt)))
+    u_eps = mat_exp(h_eps.scale(w))
+    s = evolve(s, u_eps)
+    if key is not None:
+        _propagator = (weakref.ref(h_eps), key, u_eps)
+    return s
 
 
 def measure(s: QuantumState, m: Measurement):
@@ -232,8 +263,8 @@ def complex_correct_measurement(
     caller holding a specific completion may pass it in.  Block
     extraction and completeness hold for every valid dilation.
     """
-    if dilation is None:
-        dilation = stinespring(m.operators)
+    if dilation is None:  # m is complete: Measurement has checked it
+        dilation = _complete_isometry(_stack(m.operators))
     corrected = complex_correct_unitary(dilation, h)[:, :m.dim]
     ends = np.cumsum([op.rows for op in m.operators])  # block m ends at row ends[m]
     return [block.copy() for block in np.split(corrected, ends)[:-1]]

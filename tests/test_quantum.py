@@ -2,14 +2,17 @@
 extension/correction translation between h-parametrized conventional
 operators and dual-complex operators."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dc_unitary, random_dc_vector
-from dcquantum import linalg
+from conftest import random_dc_hermitian, random_dc_unitary, random_dc_vector
+from dcquantum import linalg, quantum
 from dcquantum.errors import (
     DimMismatch,
     IncompleteFamily,
@@ -26,6 +29,7 @@ from dcquantum.linalg import (
     completeness_defect,
     dilation_block,
     eig_unitary,
+    mat_exp,
     stinespring,
     vnorm,
 )
@@ -47,6 +51,7 @@ from dcquantum.quantum import (
     tensor,
     tensor_op,
 )
+from dcquantum.scalar import DualComplex
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -170,6 +175,119 @@ class TestSchrodingerStep:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             schrodinger_step(ket(2, 0), DCMatrix(1j * SX), 0.1)
+
+
+def chain_step(s, h, dt):
+    """The propagator built and checked on every step: the oracle."""
+    return evolve(s, mat_exp(h.scale(-1j * dt)))
+
+
+def same_bits(a: QuantumState, b: QuantumState) -> bool:
+    return (a.vec.sig.tobytes(), a.vec.inf.tobytes()) == (b.vec.sig.tobytes(), b.vec.inf.tobytes())
+
+
+class TestPropagatorMemo:
+    """schrodinger_step keeps the last verified exp(-i dt H_eps) beside
+    H_eps, keyed by its identity and the bits of -i dt."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of the propagator and of the two checks, by name."""
+        counts = {}
+        for name in ("mat_exp", "is_hermitian", "is_unitary"):
+            def counting(*args, _f=getattr(quantum, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _f(*args)
+            monkeypatch.setattr(quantum, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("dt", [0.05, 0.0, -0.0, np.pi, np.float32(0.05)],
+                             ids=["0.05", "0.0", "-0.0", "pi", "float32"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_thirty_steps_match_the_chain_bit_for_bit(self, n, dt, rng):
+        h = random_dc_hermitian(n, rng)
+        s = want = normalize(random_dc_vector(n, rng))
+        for _ in range(30):
+            s, want = schrodinger_step(s, h, dt), chain_step(want, h, dt)
+            assert same_bits(s, want)
+
+    def test_alternating_dts_match_the_chain(self, rng):
+        h = random_dc_hermitian(5, rng)
+        s = want = normalize(random_dc_vector(5, rng))
+        for dt in [0.05, 0.07, 0.05, 0.05, -0.05, 0.0, -0.0, 0.07] * 3:
+            s, want = schrodinger_step(s, h, dt), chain_step(want, h, dt)
+            assert same_bits(s, want)
+
+    def test_alternating_hamiltonians_match_the_chain(self, rng):
+        hs = [random_dc_hermitian(5, rng) for _ in range(2)]
+        hs.append(DCMatrix(hs[0].sig, hs[0].inf))  # equal to hs[0], another object
+        s = want = normalize(random_dc_vector(5, rng))
+        for i in [0, 1, 0, 0, 2, 1, 1, 2] * 3:
+            s, want = schrodinger_step(s, hs[i], 0.05), chain_step(want, hs[i], 0.05)
+            assert same_bits(s, want)
+
+    def test_built_and_checked_once_per_hamiltonian_and_dt(self, counts, rng):
+        h1, h2 = random_dc_hermitian(4, rng), random_dc_hermitian(4, rng)
+        s = normalize(random_dc_vector(4, rng))
+        for h, dt in [(h1, 0.05), (h2, 0.05), (h2, 0.1), (h1, 0.05)]:
+            for _ in range(30):
+                s = schrodinger_step(s, h, dt)
+        assert counts == {"mat_exp": 4, "is_hermitian": 4, "is_unitary": 4}
+
+    @pytest.mark.parametrize("pair", [(0.0, -0.0), (np.float32(0.05), 0.05),
+                                      (np.float32(0.05), float(np.float32(0.05)))],
+                             ids=["signed-zero", "float32-float64", "float32-same-value"])
+    def test_dts_of_other_bits_are_other_keys(self, pair, counts, rng):
+        h = random_dc_hermitian(3, rng)
+        s = normalize(random_dc_vector(3, rng))
+        for dt in pair * 3:
+            s = schrodinger_step(s, h, dt)
+        assert counts["mat_exp"] == 6
+
+    def test_a_dual_dt_is_never_kept(self, counts, rng):
+        # -i dt is then a DualComplex, which has no bits to key on
+        h = random_dc_hermitian(3, rng)
+        s = want = normalize(random_dc_vector(3, rng))
+        for _ in range(3):
+            dt = DualComplex(0.05, 0.0)
+            s, want = schrodinger_step(s, h, dt), chain_step(want, h, dt)
+            assert same_bits(s, want)
+        assert counts["mat_exp"] == 3
+
+    def test_non_hermitian_raises_on_every_call(self, counts, rng):
+        bad = DCMatrix(1j * SX)
+        for _ in range(3):
+            with pytest.raises(NotHermitian):
+                schrodinger_step(ket(2, 0), bad, 0.1)
+        assert counts == {"is_hermitian": 3}
+        h = random_dc_hermitian(2, rng)
+        assert same_bits(schrodinger_step(ket(2, 0), h, 0.1), chain_step(ket(2, 0), h, 0.1))
+
+    def test_failed_unitary_check_is_not_kept(self, counts):
+        h = DCMatrix(SZ)
+        for _ in range(3):
+            with pytest.raises(NotUnitary):
+                schrodinger_step(ket(2, 0), h, float("nan"))
+        assert counts["mat_exp"] == 3 and counts["is_unitary"] == 3
+
+    def test_dim_mismatch_after_a_hit(self, counts, rng):
+        h = random_dc_hermitian(2, rng)
+        s = schrodinger_step(schrodinger_step(ket(2, 0), h, 0.1), h, 0.1)
+        assert counts["mat_exp"] == 1
+        with pytest.raises(DimMismatch, match=r"operator \(2, 2\) on state of dim 3"):
+            schrodinger_step(ket(3, 0), h, 0.1)
+        assert same_bits(schrodinger_step(s, h, 0.1), chain_step(s, h, 0.1))
+        assert counts["mat_exp"] == 1
+
+    def test_hamiltonian_is_freed_and_unchanged(self, rng):
+        h = random_dc_hermitian(3, rng)
+        copy = DCMatrix(h.sig, h.inf)
+        schrodinger_step(ket(3, 0), h, 0.1)
+        assert vars(h).keys() == {"sig", "inf"} and repr(h) == repr(copy)
+        held = weakref.ref(h)
+        del h
+        gc.collect()
+        assert held() is None
 
 
 class TestMeasure:
@@ -420,6 +538,38 @@ class TestMeasurementTranslation:
             complex_correct_measurement(m, h, dilation=dilation), self.family(h)
         ):
             assert np.abs(got - ref).max() < 1e-6
+
+
+class TestCorrectMeasurementChecksOnce:
+    """complex_correct_measurement completes the family Measurement has
+    already checked, without deciding its completeness again."""
+
+    @staticmethod
+    def family(rng, rows, d):
+        v = random_dc_unitary(sum(rows), rng)
+        ends = np.cumsum(rows)[:-1]
+        return Measurement(tuple(DCMatrix(s, i) for s, i in
+                                 zip(np.split(v.sig[:, :d], ends), np.split(v.inf[:, :d], ends))))
+
+    @pytest.mark.parametrize("rows,d", [((3, 3), 3), ((2, 3, 1), 2), ((5, 4), 4)],
+                             ids=["square", "rectangular", "mixed"])
+    def test_blocks_are_those_of_the_stinespring_dilation(self, rows, d, rng):
+        m = self.family(rng, rows, d)
+        got = complex_correct_measurement(m, 0.1)
+        want = complex_correct_measurement(m, 0.1, dilation=stinespring(m.operators))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_only_the_dilation_is_checked(self, rng, monkeypatch):
+        m = self.family(rng, (2, 3), 2)
+        shapes = []
+
+        def recording(a, kind, _residual=linalg.residual):
+            shapes.append(a.shape)
+            return _residual(a, kind)
+
+        monkeypatch.setattr(linalg, "residual", recording)
+        complex_correct_measurement(m, 0.1)
+        assert shapes == [(5, 5)]  # decompose_unitary's check of the dilation
 
 
 class TestDilationBlocks:

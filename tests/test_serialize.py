@@ -128,6 +128,73 @@ class TestTagged:
             tagged_from_json({"kind": "mystery"})
 
 
+# Floats whose encoding is easy to get wrong: signed zeros, subnormals,
+# extremes, and the three that json spells NaN, Infinity and -Infinity.
+_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.7976931348623157e308, -1e308,
+            0.1, -1 / 3, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]
+_floats = st.one_of(st.sampled_from(_AWKWARD), st.floats())
+
+
+@st.composite
+def _dual_matrix(draw, cols=None):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    parts = draw(st.lists(_floats, min_size=4 * rows * cols, max_size=4 * rows * cols))
+    sig, inf = np.array(parts).view(complex).reshape(2, rows, cols)  # keeps every bit
+    return DCMatrix(sig, inf)
+
+
+@st.composite
+def _file_object(draw):
+    """What the writers hand to dump_json: a unitary, a state, a
+    measurement (of rectangular operators too) or a report."""
+    kind = draw(st.sampled_from(["unitary", "state", "measurement", "report"]))
+    if kind == "unitary":
+        return unitary_to_json(draw(_dual_matrix()))
+    if kind == "state":
+        return {"kind": "state", "matrix": matrix_to_json(draw(_dual_matrix(cols=1)))}
+    if kind == "measurement":
+        cols = draw(st.integers(1, 3))
+        ops = draw(st.lists(_dual_matrix(cols=cols), min_size=1, max_size=3))
+        labels = draw(st.lists(st.one_of(st.integers(), st.text(max_size=3),
+                                         st.just("dcquantum:entries")),
+                               min_size=len(ops), max_size=len(ops)))
+        return {"kind": "measurement", "labels": labels,
+                "operators": [matrix_to_json(op) for op in ops]}
+    return {"check": draw(st.text(max_size=5)), "worst_residual": draw(_floats),
+            "pass": draw(st.booleans())}
+
+
+def _stdlib_bytes(obj, path) -> bytes:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=1)
+        f.write("\n")
+    return path.read_bytes()
+
+
+class TestDumpJsonBytes:
+    """dump_json writes exactly what json.dump(obj, f, indent=1) and a
+    newline write."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_file_object())
+    def test_matches_the_stdlib_encoder(self, obj, tmp_path_factory):
+        d = tmp_path_factory.mktemp("dump")
+        dump_json(obj, str(d / "got.json"))
+        assert (d / "got.json").read_bytes() == _stdlib_bytes(obj, d / "want.json")
+
+    def test_many_rows_and_a_spliced_label(self, rng, tmp_path):
+        # more rows than one formatted piece holds, and entries-like lists that
+        # are not a matrix's: a label of floats, a ragged list, and ints
+        m = random_dc_unitary(40, rng)
+        obj = {"kind": "measurement",
+               "labels": [{"entries": [[1.5, -0.0]]}, {"entries": [[1.0], [2.0, 3.0]]},
+                          {"entries": [[1, 2.0]]}],
+               "operators": [matrix_to_json(m), matrix_to_json(m), matrix_to_json(m)]}
+        dump_json(obj, str(tmp_path / "got.json"))
+        assert (tmp_path / "got.json").read_bytes() == _stdlib_bytes(obj, tmp_path / "want.json")
+
+
 class TestLoadTaggedRejectsUnreadable:
     """A file that cannot be read, decoded as UTF-8 or parsed raises
     MalformedInput saying where, as the dcq command line reports it."""
