@@ -32,7 +32,7 @@ from .quantum import (
     complex_correct_unitary,
     dc_extend_measurement,
     dc_extend_unitary,
-    ParamUnitary,
+    sampled_family,
 )
 from .walk import (
     covariance_check,
@@ -152,13 +152,13 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _extend_from_family(data, step_default: float):
-    """Family file: matrices sampled at -step, 0, +step.  One operator
-    per slot means a unitary family; several mean a measurement."""
-    step = data.get("step", step_default)
+def _extend_from_family(data):
+    """Family file: matrices sampled at -step, 0, +step, each of the
+    shape of its slot in at_zero.  One operator per slot means a unitary
+    family; several mean a measurement."""
+    step = serialize.require(data, "step")
     if type(step) not in (int, float) or not 0 < step < math.inf:
         raise MalformedInput(f"step: expected a positive number, got {step!r}")
-    step = float(step)
     sampled = []
     for key in ("at_zero", "at_plus", "at_minus"):
         mats = serialize.require(data, key)
@@ -166,30 +166,30 @@ def _extend_from_family(data, step_default: float):
             raise MalformedInput(f"{key}: expected a non-empty list of matrices")
         sampled.append([serialize.matrix_from_json(m, f"{key}[{i}]").sig
                         for i, m in enumerate(mats)])
-        shape = sampled[0][0].shape
-        for i, m in enumerate(sampled[-1]):
-            if m.shape != shape:
-                raise MalformedShape(f"{key}[{i}]: expected a {shape[0]}x{shape[1]} matrix "
-                                     f"like at_zero[0], got {m.shape[0]}x{m.shape[1]}")
-    zero, plus, minus = sampled
-    if not len(zero) == len(plus) == len(minus):
-        raise MalformedInput("at_zero, at_plus and at_minus differ in length")
-    grid = {0.0: zero, step: plus, -step: minus}
-    if len(zero) == 1:
-        fam = ParamUnitary(evaluate=lambda h: grid[h][0])
-        return serialize.unitary_to_json(dc_extend_unitary(fam, step=step))
+        zero = sampled[0]
+        if len(sampled[-1]) != len(zero):
+            raise MalformedInput("at_zero, at_plus and at_minus differ in length")
+        for i, (m, m0) in enumerate(zip(sampled[-1], zero)):
+            if m.shape != m0.shape:
+                raise MalformedShape(f"{key}[{i}]: expected a {m0.shape[0]}x{m0.shape[1]} "
+                                     f"matrix like at_zero[{i}], got {m.shape[0]}x{m.shape[1]}")
+            if m.shape[1] != zero[0].shape[1]:  # an at_zero slot: one column count
+                raise MalformedShape(f"{key}[{i}]: expected {zero[0].shape[1]} columns "
+                                     f"like at_zero[0], got {m.shape[1]}")
+    families = [sampled_family(*slot, float(step)) for slot in zip(*sampled)]
+    if len(families) == 1:
+        return serialize.unitary_to_json(dc_extend_unitary(families[0]))
     return serialize.measurement_to_json(
-        dc_extend_measurement(grid.__getitem__, step=step))
+        dc_extend_measurement(lambda h: [f(h) for f in families]))
 
 
 def cmd_translate(args) -> int:
-    _require(math.isfinite(args.h) and (args.correct or args.h >= 0),
-             "--h must be finite, and >= 0 with --extend")
+    _require(math.isfinite(args.h), "--h must be finite")
     if args.extend:
         data = serialize._read_json(args.input)
         if not isinstance(data, dict) or data.get("kind") != "family":
             raise MalformedInput("--extend expects a family file")
-        out = _extend_from_family(data, args.h or 1e-6)
+        out = _extend_from_family(data)
         serialize.dump_json(out, args.out)
         return PASS
 
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--extend", action="store_true")
     group.add_argument("--correct", action="store_true")
-    p.add_argument("--h", type=float, default=0.0)
+    p.add_argument("--h", type=float, default=0.0, help="read only by --correct")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_translate)

@@ -44,9 +44,7 @@ from .linalg import (
     residual,
     vnorm,
 )
-from .scalar import TAU, DualReal
-
-FD_STEP = 1e-6  # central-difference step for derivative_at_zero
+from .scalar import EPS, TAU, DualReal
 
 
 @dataclass(frozen=True)
@@ -100,18 +98,6 @@ class MeasurementOutcome:
     @property
     def zero_branch(self) -> bool:
         return self.post is None
-
-
-@dataclass(frozen=True)
-class ParamUnitary:
-    """h-parametrized conventional unitary family, h real, U_0 unitary.
-
-    ``derivative_at_zero`` is dU/dh at h = 0 when known in closed form;
-    otherwise it is obtained by central finite differences.
-    """
-
-    evaluate: Callable[[float], np.ndarray]
-    derivative_at_zero: Optional[np.ndarray] = None
 
 
 def normalize(v: DCVector) -> QuantumState:
@@ -207,21 +193,27 @@ tensor_op = kron
 # ---------------------------------------------------------------------------
 
 
-def dc_extend_unitary(p: ParamUnitary, step: float = FD_STEP) -> DCMatrix:
-    """U + eps iHU with U = p(0) and iHU = dU/dh at 0.
+def sampled_family(at_zero, at_plus, at_minus, step: float) -> Callable:
+    """The affine ring family h -> S_0 + h (S_+ - S_-) / (2 step) through
+    an operator sampled at h = 0 and h = +-step: its value at EPS carries
+    the central difference as its eps-part."""
+    s0 = DCMatrix(at_zero)
+    d = DCMatrix((np.asarray(at_plus, dtype=complex)
+                  - np.asarray(at_minus, dtype=complex)) / (2.0 * step))
+    return lambda h: s0 + d.scale(h)
 
-    A finite-differenced derivative is Hermitian-projected so the result
-    is exactly dual-complex unitary.
+
+def dc_extend_unitary(family: Callable) -> DCMatrix:
+    """U + eps iHU from u = family(EPS) = U + eps dU/dh at 0, for a
+    family written in ring arithmetic (see `sampled_family`).
+
+    dU/dh is Hermitian-projected, so the result is exactly dual-complex
+    unitary whether the family is exact or sampled.
     """
-    u0 = np.asarray(p.evaluate(0.0), dtype=complex)
-    if not is_unitary(DCMatrix(u0), REQUIRE_ATOL):
+    u = family(EPS)
+    if not is_unitary(DCMatrix(u.sig), REQUIRE_ATOL):
         raise NotUnitaryAtZero("family does not evaluate to a unitary at h = 0")
-    if p.derivative_at_zero is not None:
-        d = np.asarray(p.derivative_at_zero, dtype=complex)
-    else:
-        d = (np.asarray(p.evaluate(step), dtype=complex)
-             - np.asarray(p.evaluate(-step), dtype=complex)) / (2.0 * step)
-    return DCMatrix(u0, 1j * _hermitian_generator(d, u0) @ u0)
+    return DCMatrix(u.sig, 1j * _hermitian_generator(u.inf, u.sig) @ u.sig)
 
 
 def complex_correct_unitary(u_eps: DCMatrix, h: float) -> np.ndarray:
@@ -232,22 +224,10 @@ def complex_correct_unitary(u_eps: DCMatrix, h: float) -> np.ndarray:
     return (q * np.exp(1j * h * w)) @ q.conj().T @ u
 
 
-def dc_extend_measurement(
-    family: Callable[[float], Sequence[np.ndarray]],
-    labels=None,
-    step: float = FD_STEP,
-) -> Measurement:
-    """Dual-complex extension of an h-parametrized conventional
-    measurement: M_m = family(0), N_m = dM_m/dh at 0 (central
-    differences)."""
-    at0 = [np.asarray(m, dtype=complex) for m in family(0.0)]
-    plus = [np.asarray(m, dtype=complex) for m in family(step)]
-    minus = [np.asarray(m, dtype=complex) for m in family(-step)]
-    ops = tuple(
-        DCMatrix(m0, (mp - mm) / (2.0 * step))
-        for m0, mp, mm in zip(at0, plus, minus)
-    )
-    return Measurement(ops, labels)
+def dc_extend_measurement(family: Callable[..., Sequence[DCMatrix]], labels=None) -> Measurement:
+    """Dual-complex extension of an h-parametrized measurement written in
+    ring arithmetic: family(EPS), whose operators are M_m + eps dM_m/dh."""
+    return Measurement(tuple(family(EPS)), labels)
 
 
 def complex_correct_measurement(

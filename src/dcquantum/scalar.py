@@ -149,6 +149,11 @@ class DualComplex(DualNumber):
         return f"{_fmt_complex(self.sig)} + ({_fmt_complex(self.inf)})ε"
 
 
+#: The infinitesimal unit ε: a family f written in ring arithmetic has
+#: f(EPS) = f(0) + ε f'(0), its first-order variation.
+EPS = DualComplex(0.0, 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class DualReal(DualNumber):
     """a + b*eps with real components, ordered lexicographically (eps > 0)."""

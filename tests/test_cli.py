@@ -31,6 +31,22 @@ def write_unitary(path, m):
     return str(path)
 
 
+def family_doc(zero, plus, minus, step):
+    """A translate --extend family file of operators sampled at 0 and +-step."""
+    return {"kind": "family", "step": step, **{
+        key: [serialize.matrix_to_json(DCMatrix(m)) for m in mats]
+        for key, mats in (("at_minus", minus), ("at_zero", zero), ("at_plus", plus))}}
+
+
+def rectangular_samples(step):
+    """0.6 I_2 and a 3x2 operator moved along exp(ihA), A Hermitian,
+    sampled at 0, +step and -step."""
+    a = np.zeros((5, 5))
+    a[0, 4] = a[4, 0] = a[1, 2] = a[2, 1] = 1.0
+    v0 = np.vstack([0.6 * np.eye(2), [[0.8, 0.0], [0.0, 0.8], [0.0, 0.0]]])
+    return [np.split(scipy.linalg.expm(1j * h * a) @ v0, [2]) for h in (0.0, step, -step)]
+
+
 class TestWalkCommand:
     def test_row_count_and_exit(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -378,9 +394,7 @@ def _valid_inputs():
     """One valid file of each kind the CLI reads, as dump_json writes it,
     with each command that reads it, short of its --in."""
     step = 1e-3
-    family = {"kind": "family", "step": step, **{
-        key: [serialize.matrix_to_json(DCMatrix(scipy.linalg.expm(1j * h * SZ)))]
-        for key, h in (("at_minus", -step), ("at_zero", 0.0), ("at_plus", step))}}
+    family = family_doc(*([scipy.linalg.expm(1j * h * SZ)] for h in (0.0, step, -step)), step)
     docs = {
         "unitary": serialize.unitary_to_json(dirac_gate(0.7)),
         "state": serialize.state_to_json(
@@ -390,6 +404,7 @@ def _valid_inputs():
         "rectangular": serialize.measurement_to_json(Measurement(
             (DCMatrix(0.6 * np.eye(2)), DCMatrix(np.array([[0.8, 0], [0, 0.8], [0, 0]]))))),
         "family": family,
+        "rectangular family": family_doc(*rectangular_samples(step), step),
     }
     translate = ["translate", "--correct", "--h", "0.05", "--out", "{out}"]
     checks = [["check", "unitary"], ["check", "spectrum"], ["check", "semipositive"]]
@@ -399,6 +414,7 @@ def _valid_inputs():
         "measurement": [translate],
         "rectangular": [translate],
         "family": [["translate", "--extend", "--out", "{out}"]],
+        "rectangular family": [["translate", "--extend", "--out", "{out}"]],
     }
     return [(json.dumps(doc, indent=1).encode() + b"\n", argv)
             for kind, doc in docs.items() for argv in commands[kind]]
@@ -548,6 +564,14 @@ class TestTranslateCommand:
         (lambda f: f.__setitem__("step", "small"), "step: expected a positive number"),
         (lambda f: f["at_plus"].__setitem__(0, serialize.matrix_to_json(DCMatrix(np.eye(3)))),
          "at_plus[0]: expected a 2x2 matrix like at_zero[0], got 3x3"),
+        (lambda f: f.pop("step"), "missing key 'step'"),
+        (lambda f: f["at_plus"].append(f["at_plus"][0]),
+         "at_zero, at_plus and at_minus differ in length"),
+        (lambda f: f["at_zero"].append(serialize.matrix_to_json(DCMatrix(np.eye(3)))),
+         "at_zero[1]: expected 2 columns like at_zero[0], got 3"),
+        (lambda f: [f[key].append(serialize.matrix_to_json(DCMatrix(m))) for key, m in (
+            ("at_zero", np.ones((3, 2))), ("at_plus", np.ones((3, 2))), ("at_minus", np.eye(2)))],
+         "at_minus[1]: expected a 3x2 matrix like at_zero[1], got 2x2"),
     ])
     def test_extend_rejects_malformed_family(self, tmp_path, capsys, edit, located):
         def eye():
@@ -560,6 +584,32 @@ class TestTranslateCommand:
         rc = main(["translate", "--extend", "--in", src, "--out", str(tmp_path / "o.json")])
         assert rc == 2
         assert f"error: {src}: {located}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h", [None, "0", "-1", "0.5"])
+    def test_extend_takes_its_step_from_the_file(self, tmp_path, h):
+        # sampled at +-1e-3; --h is read only by --correct
+        step = 1e-3
+        fam = family_doc(*([scipy.linalg.expm(1j * t * SZ)] for t in (0.0, step, -step)), step)
+        src, dst = _write_doc(tmp_path / "fam.json", fam), str(tmp_path / "ext.json")
+        flag = [] if h is None else ["--h", h]
+        assert main(["translate", "--extend", *flag, "--in", src, "--out", dst]) == 0
+        out = serialize.load_tagged(dst)
+        assert np.abs(out.inf - 1j * SZ).max() < 1e-6
+
+    def test_extend_rectangular_measurement_family(self, tmp_path):
+        # a 2x2 and a 3x2 operator: each slot keeps its shape, and the
+        # extension is the samples' central difference, then corrects
+        step = 1e-3
+        zero, plus, minus = rectangular_samples(step)
+        src = _write_doc(tmp_path / "fam.json", family_doc(zero, plus, minus, step))
+        dst = str(tmp_path / "ext.json")
+        assert main(["translate", "--extend", "--in", src, "--out", dst]) == 0
+        back = serialize.load_tagged(dst)
+        assert [op.shape for op in back.operators] == [(2, 2), (3, 2)]
+        for op, z, p, m in zip(back.operators, zero, plus, minus):
+            assert np.array_equal(op.sig, z) and np.array_equal(op.inf, (p - m) / (2 * step))
+        assert main(["translate", "--correct", "--h", "0.1", "--in", dst,
+                     "--out", str(tmp_path / "corr.json")]) == 0
 
     def test_extend_rejects_non_family(self, tmp_path, capsys):
         src = write_unitary(tmp_path / "g.json", dirac_gate(1.0))
@@ -610,6 +660,7 @@ _BAD_FLAGS = [
     (["check", "semipositive", "--in", "{diag}", "--trials", "-5"], "--trials"),
     (["translate", "--correct", "--h", "nan", "--in", "{gate}", "--out", "{out}"], "--h"),
     (["translate", "--correct", "--h", "inf", "--in", "{gate}", "--out", "{out}"], "--h"),
+    (["translate", "--extend", "--h", "nan", "--in", "{gate}", "--out", "{out}"], "--h"),
     (["convergence", "--walk", "--wavenumber", "nan"], "--wavenumber"),
     (["convergence", "--mass", "nan"], "--mass"),
     (["convergence", "--walk", "--mass", "inf"], "--mass"),

@@ -11,7 +11,13 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dc_hermitian, random_dc_unitary, random_dc_vector
+from conftest import (
+    random_complex_hermitian,
+    random_complex_unitary,
+    random_dc_hermitian,
+    random_dc_unitary,
+    random_dc_vector,
+)
 from dcquantum import linalg, quantum
 from dcquantum.errors import (
     DimMismatch,
@@ -35,7 +41,6 @@ from dcquantum.linalg import (
 )
 from dcquantum.quantum import (
     Measurement,
-    ParamUnitary,
     QuantumState,
     complex_correct_measurement,
     complex_correct_unitary,
@@ -47,11 +52,13 @@ from dcquantum.quantum import (
     measurement_from_complex,
     normalize,
     sample,
+    sampled_family,
     schrodinger_step,
     tensor,
     tensor_op,
 )
-from dcquantum.scalar import DualComplex
+from dcquantum.scalar import EPS, DualComplex
+from dcquantum.walk import corrected_gate, dirac_gate
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -75,6 +82,22 @@ H_GAUGE = np.pi * np.array(
 
 def ket(dim, i):
     return QuantumState(DCVector.basis(dim, i))
+
+
+STEP = 1e-6  # sampling step of the conventional (scipy) families below
+
+
+def sampled(fam, step=STEP):
+    """The ring family through a conventional unitary family's samples
+    at 0 and +-step."""
+    return sampled_family(fam(0.0), fam(step), fam(-step), step)
+
+
+def sampled_measurement(fam, step=STEP):
+    """The ring family through a conventional measurement family's
+    samples, one `sampled_family` per operator."""
+    slots = [sampled_family(*ops, step) for ops in zip(fam(0.0), fam(step), fam(-step))]
+    return lambda h: [f(h) for f in slots]
 
 
 class TestStatesAndNormalize:
@@ -400,31 +423,52 @@ class TestTensor:
 
 class TestExtendUnitary:
     def test_phase_family(self):
-        p = ParamUnitary(lambda h: scipy.linalg.expm(1j * h * SZ))
-        u_eps = dc_extend_unitary(p)
+        u_eps = dc_extend_unitary(sampled(lambda h: scipy.linalg.expm(1j * h * SZ)))
         assert np.allclose(u_eps.sig, np.eye(2))
         assert np.abs(u_eps.inf - 1j * SZ).max() < 1e-9
 
     def test_constant_family(self):
-        p = ParamUnitary(lambda h: SX)
-        u_eps = dc_extend_unitary(p)
+        u_eps = dc_extend_unitary(lambda h: DCMatrix(SX))
         assert np.allclose(u_eps.sig, SX) and np.abs(u_eps.inf).max() < 1e-9
 
     def test_mass_coupling_family(self):
         m = 1.3
-        p = ParamUnitary(lambda h: scipy.linalg.expm(-1j * h * m * SX) @ SX)
-        u_eps = dc_extend_unitary(p)
+        u_eps = dc_extend_unitary(sampled(lambda h: scipy.linalg.expm(-1j * h * m * SX) @ SX))
         assert np.allclose(u_eps.sig, SX)
         assert np.abs(u_eps.inf - (-1j * m) * np.eye(2)).max() < 1e-8
 
     def test_closed_form_derivative_is_used(self):
-        p = ParamUnitary(lambda h: np.eye(2), derivative_at_zero=1j * SX)
-        u_eps = dc_extend_unitary(p)
+        # a known derivative D is the affine family U_0 + h D
+        u_eps = dc_extend_unitary(lambda h: DCMatrix(np.eye(2)) + DCMatrix(1j * SX).scale(h))
         assert np.allclose(u_eps.inf, 1j * SX)
 
     def test_rejects_non_unitary_base_point(self):
         with pytest.raises(NotUnitaryAtZero):
-            dc_extend_unitary(ParamUnitary(lambda h: 2 * np.eye(2)))
+            dc_extend_unitary(lambda h: DCMatrix(2 * np.eye(2)))
+
+    @pytest.mark.parametrize("n", [4, 32, 128])
+    def test_ring_family_extends_exactly(self, n, rng):
+        # exp(-ihH) U_0 in ring arithmetic: its eps-part is -iHU_0 to
+        # rounding, where a central difference at 1e-6 is off by ~1e-11
+        herm = random_complex_hermitian(n, rng)
+        u0 = random_complex_unitary(n, rng)
+        u_eps = dc_extend_unitary(lambda h: mat_exp(DCMatrix(herm).scale(-1j * h))
+                                  @ DCMatrix(u0))
+        want = -1j * herm @ u0
+        assert np.array_equal(u_eps.sig, u0)
+        assert np.abs(u_eps.inf - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [0.7, -2.3, 1e3, 0.0])
+    def test_walk_gate_family_is_the_dirac_gate(self, m):
+        # sigma_x exp(-imh sigma_x): at eps the Dirac gate bit for bit,
+        # at real h the corrected conventional gate
+        def fam(h):
+            return DCMatrix(SX) @ mat_exp(DCMatrix(SX).scale(-1j * m * h))
+
+        got, want = dc_extend_unitary(fam), dirac_gate(m)
+        assert np.array_equal(got.sig, want.sig) and np.array_equal(got.inf, want.inf)
+        for h in (1e-3, 0.1):
+            assert np.abs(fam(h).sig - corrected_gate(m, h)).max() <= 1e-12
 
 
 class TestCorrectUnitary:
@@ -444,7 +488,7 @@ class TestCorrectUnitary:
         h1 = np.array([[0.4, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]])
         h2 = np.array([[1.0, 0.5j], [-0.5j, 0.2]])
         fam = lambda h: scipy.linalg.expm(1j * h * h1 + 1j * h * h * h2) @ SX
-        u_eps = dc_extend_unitary(ParamUnitary(fam))
+        u_eps = dc_extend_unitary(sampled(fam))
 
         def err(h):
             return np.abs(complex_correct_unitary(u_eps, h) - fam(h)).max()
@@ -455,7 +499,7 @@ class TestCorrectUnitary:
     def test_round_trip_exact_form(self):
         herm = np.array([[0.3, 0.1j], [-0.1j, -0.2]])
         fam = lambda h: scipy.linalg.expm(1j * h * herm) @ SZ
-        u_eps = dc_extend_unitary(ParamUnitary(fam))
+        u_eps = dc_extend_unitary(sampled(fam))
         for h in (0.05, 0.2, 0.7):
             assert np.abs(complex_correct_unitary(u_eps, h) - fam(h)).max() < 1e-6
 
@@ -466,24 +510,24 @@ class TestMeasurementTranslation:
         return [big[0:2, 0:2], big[2:4, 0:2]]
 
     def test_extension_base_point(self):
-        m = dc_extend_measurement(self.family)
+        m = dc_extend_measurement(sampled_measurement(self.family))
         assert np.allclose(m.operators[0].sig, [[1, 0], [0, 0]])
         assert np.allclose(m.operators[1].sig, [[0, 1], [0, 0]])
 
     def test_constant_family_has_zero_infinitesimal(self):
         m = dc_extend_measurement(
-            lambda h: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+            lambda h: [DCMatrix(np.diag([1.0, 0.0])), DCMatrix(np.diag([0.0, 1.0]))]
         )
         for op in m.operators:
             assert np.abs(op.inf).max() < 1e-9
 
     def test_correction_at_h_zero(self):
-        m = dc_extend_measurement(self.family)
+        m = dc_extend_measurement(sampled_measurement(self.family))
         for got, op in zip(complex_correct_measurement(m, 0.0), m.operators):
             assert np.abs(got - op.sig).max() < 1e-12
 
     def test_correction_with_explicit_dilation(self):
-        m = dc_extend_measurement(self.family)
+        m = dc_extend_measurement(sampled_measurement(self.family))
         dilation = DCMatrix(SWAP, 1j * H_GAUGE @ SWAP)
         h = 0.2
         got = complex_correct_measurement(m, h, dilation=dilation)
@@ -515,7 +559,7 @@ class TestMeasurementTranslation:
         # outcome probabilities do not depend on the dilation gauge, so the
         # default Gram-Schmidt completion must agree with the source family
         # at second order even though the operators themselves may differ
-        m = dc_extend_measurement(self.family)
+        m = dc_extend_measurement(sampled_measurement(self.family))
         psi = np.array([0.6, 0.8])
 
         def perr(h):
@@ -531,7 +575,7 @@ class TestMeasurementTranslation:
         assert perr(1e-2) < 1e-6
 
     def test_extend_then_correct_round_trip(self):
-        m = dc_extend_measurement(self.family)
+        m = dc_extend_measurement(sampled_measurement(self.family))
         dilation = DCMatrix(SWAP, 1j * H_GAUGE @ SWAP)
         h = 1e-3
         for got, ref in zip(
@@ -656,3 +700,84 @@ class TestOneIsometryResidual:
         except InfinitesimalVector:
             accepted = False
         assert accepted == ok
+
+
+def _with_signed_zeros(rng, a):
+    """A copy of a whose exactly zero real and imaginary components get
+    random signs."""
+    out = np.array(a, dtype=complex)
+    for part in (out.real, out.imag):  # writable views
+        zero = part == 0
+        part[zero] = np.copysign(0.0, rng.choice([-1.0, 1.0], size=int(zero.sum())))
+    return out
+
+
+def _has_negative_zero(a) -> bool:
+    return any(bool(np.any((part == 0) & np.signbit(part))) for part in (a.real, a.imag))
+
+
+@st.composite
+def _sampled_isometries(draw, square, steps):
+    """(at_zero, at_plus, at_minus, step): an isometry family
+    V_0 +- step iAV_0 (A Hermitian with zero entries) sampled at 0 and
+    +-step and split into operators of 1 to 3 rows; one unitary operator
+    when square.  V_0 is dense, or permutation columns with unit phases
+    and zeros of random sign."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.lists(st.integers(1, 3), min_size=1, max_size=1 if square else 4))
+    total = sum(rows)
+    d = total if square else draw(st.integers(1, total))
+    step = draw(st.sampled_from(steps))
+    if draw(st.booleans()):
+        v0 = random_complex_unitary(total, rng)[:, :d]
+    else:
+        phases = rng.choice([1, -1, 1j, -1j], size=d)
+        v0 = _with_signed_zeros(rng, np.eye(total)[rng.permutation(total)][:, :d] * phases)
+    mask = rng.random((total, total)) < 0.5
+    v1 = 1j * (random_complex_hermitian(total, rng) * (mask & mask.T)) @ v0
+    ends = np.cumsum(rows)[:-1]
+    return (*(np.split(s, ends) for s in (v0, v0 + step * v1, v0 - step * v1)), step)
+
+
+def _central_difference(at_zero, at_plus, at_minus, step):
+    """The former extension's (S_0, D): the samples' central difference."""
+    return at_zero, (at_plus - at_minus) / (2.0 * step)
+
+
+def _assert_same(got: DCMatrix, want: DCMatrix, bits: bool):
+    for g, w in ((got.sig, want.sig), (got.inf, want.inf)):
+        assert np.array_equal(g, w)
+        assert not bits or g.tobytes() == w.tobytes()
+
+
+class TestExtensionIsEvaluationAtEps:
+    """A sampled family's interpolant, evaluated at EPS, extends as the
+    former central difference did (Hermitian-projected for a unitary):
+    entrywise equal, and bit for bit unless S_0 or D holds a -0.0, whose
+    sign S_0 + 0 D and 0 + 1 D drop."""
+
+    @given(_sampled_isometries(square=True, steps=[1e-6, 1e-3, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_unitary_is_the_projected_central_difference(self, samples):
+        (s0,), (sp,), (sm,), step = samples
+        u0, d = _central_difference(s0, sp, sm, step)
+        gen = -1j * d @ u0.conj().T
+        want = DCMatrix(u0, 1j * (0.5 * (gen + gen.conj().T)) @ u0)
+        got = dc_extend_unitary(sampled_family(s0, sp, sm, step))
+        _assert_same(got, want, not (_has_negative_zero(s0) or _has_negative_zero(d)))
+
+    # at a step of 1e-6 the difference's rounding (~1e-10) nears the
+    # completeness tolerance, which both extensions would then fail alike
+    @given(_sampled_isometries(square=False, steps=[1e-4, 1e-3, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_measurement_is_the_central_difference(self, samples):
+        *slots, step = samples
+        ops = [DCMatrix(*_central_difference(*slot, step)) for slot in zip(*slots)]
+        families = [sampled_family(*slot, step) for slot in zip(*slots)]
+        got = dc_extend_measurement(lambda h: [f(h) for f in families])
+        bits = not any(_has_negative_zero(op.sig) or _has_negative_zero(op.inf) for op in ops)
+        for g, w in zip(got.operators, Measurement(tuple(ops)).operators):
+            _assert_same(g, w, bits)
+
+    def test_eps_is_the_infinitesimal_unit(self):
+        assert EPS == DualComplex(0.0, 1.0) and EPS * EPS == 0
