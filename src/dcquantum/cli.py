@@ -73,8 +73,7 @@ def cmd_walk(args) -> int:
     _require(math.isfinite(args.mass), "--mass must be finite")
     w = point_source(args.sites)
     snaps = run(w, args.mass, args.steps, record_every=args.record_every)
-    serialize.write_trajectory_csv(snaps, args.out)
-    final = snaps[-1].total_norm()
+    final = serialize.write_trajectory_csv(snaps, args.out).total_norm()
     print(f"final dual norm: {final.sig!r} + ({final.inf!r})eps")
     return PASS
 
@@ -153,9 +152,9 @@ def cmd_check(args) -> int:
 
 
 def _extend_from_family(data):
-    """Family file: matrices sampled at -step, 0, +step, each of the
-    shape of its slot in at_zero.  One operator per slot means a unitary
-    family; several mean a measurement."""
+    """Family file: conventional matrices (eps-parts zero) sampled at
+    -step, 0, +step, each of the shape of its slot in at_zero.  One
+    operator per slot means a unitary family; several mean a measurement."""
     step = serialize.require(data, "step")
     if type(step) not in (int, float) or not 0 < step < math.inf:
         raise MalformedInput(f"step: expected a positive number, got {step!r}")
@@ -164,8 +163,13 @@ def _extend_from_family(data):
         mats = serialize.require(data, key)
         if type(mats) is not list or not mats:
             raise MalformedInput(f"{key}: expected a non-empty list of matrices")
-        sampled.append([serialize.matrix_from_json(m, f"{key}[{i}]").sig
-                        for i, m in enumerate(mats)])
+        sampled.append([])
+        for i, m in enumerate(mats):
+            m = serialize.matrix_from_json(m, f"{key}[{i}]")
+            if m.inf.any():
+                raise MalformedInput(f"{key}[{i}]: a sample is a conventional matrix, "
+                                     "but its eps-part is nonzero")
+            sampled[-1].append(m.sig)
         zero = sampled[0]
         if len(sampled[-1]) != len(zero):
             raise MalformedInput("at_zero, at_plus and at_minus differ in length")

@@ -256,33 +256,41 @@ TRAJECTORY_COLUMNS = [
 ]
 
 
-def write_trajectory_csv(snapshots, path: str) -> None:
+def write_trajectory_csv(snapshots, path: str) -> WalkState | None:
     """Write snapshots as CSV rows t_step, x_index, then the real and
     imaginary parts of psi+ (sig, inf) and psi- (sig, inf), each float
     as its repr: the bytes the csv module's default dialect writes for
-    those rows, built one snapshot at a time.
+    those rows.  One pass over any iterable, holding one snapshot and
+    one piece of rows at a time; returns the last snapshot (None when
+    there is none).
 
     Only live rows, those with a set bit (-0.0 and NaN included), are
     formatted.  Every other row is t_step followed by
-    ",x,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0", taken from a table built once
-    per site count.  Outside a point source's light cone almost every
-    row is such a dark row, and its repr could only be "0.0"."""
-    dark_rows = {}
+    ",x,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0", taken from a table of such
+    suffixes that grows to the largest site count.  Outside a point
+    source's light cone almost every row is such a dark row, and its
+    repr could only be "0.0"."""
+    dark = []  # dark[x] is the suffix of a dark row at site x
+    snap = None
     with open(path, "w", newline="") as f:
         f.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for snap in snapshots:
             n = snap.sites
-            if not n:  # a snapshot with no sites has no rows
-                continue
+            dark.extend(f",{x}" + ",0.0" * 8 for x in range(len(dark), n))
             t = str(snap.time)
-            parts = np.stack((snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf), 1)
-            live = np.flatnonzero(parts.view(np.uint64).any(axis=1))
-            columns = map(map, repeat(repr), parts[live].view(float).T.tolist())
-            if n not in dark_rows:
-                dark_rows[n] = np.array([f",{x}" + ",0.0" * 8 for x in range(n)], dtype=object)
-            lines = t + dark_rows[n]  # an object array of fresh strings
-            lines[live] = list(map(",".join, zip(repeat(t), map(str, live.tolist()), *columns)))
-            f.write("\r\n".join(lines) + "\r\n")
+            between = "\r\n" + t
+            for start in range(0, n, _ROWS_PER_PIECE):
+                stop = min(start + _ROWS_PER_PIECE, n)
+                parts = np.stack([a[start:stop] for a in (
+                    snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf)], 1)
+                live = np.flatnonzero(parts.view(np.uint64).any(axis=1))
+                piece = dark[start:stop]
+                columns = map(map, repeat(repr), parts[live].view(float).T.tolist())
+                rows = map(",".join, zip(repeat(""), map(str, (live + start).tolist()), *columns))
+                for i, row in zip(live.tolist(), rows):
+                    piece[i] = row
+                f.writelines((t, between.join(piece), "\r\n"))
+    return snap
 
 
 def read_trajectory_csv(path: str) -> list:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,41 +83,68 @@ def _rotate(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
     dst[k:], dst[:k] = src[:n - k], src[n - k:]
 
 
-def run(w: WalkState, m: float, steps: int, record_every: int = 1) -> list:
-    """Walk `steps` steps in closed form, returning snapshots [initial,
-    ...] at the given interval (the final state is always included).
-
-    The gate's sig-part only routes, so each sig-part is the initial one
-    carried t sites.  The mass acts at first order: step t subtracts
-    (1j*m) * psi-.sig0[y + 2t - 2] from psi+.inf in its comoving frame
-    y = x - t, and (1j*m) * psi+.sig0[y - 2t + 2] from psi-.inf in
-    y = x + t.  Each product is made once and laid out twice over, so a
-    step is one in-place subtraction of a window per mover, with the
-    operands and order of the stepping recurrence inf - (1j*m)*sig: every
-    bit but a NaN's sign is the recurrence's, signed zeros included.
-    Snapshots are fresh (4, n) blocks, owned read-only."""
+def run(w: WalkState, m: float, steps: int, record_every: int = 1) -> Trajectory:
+    """The walk of `steps` steps from w, recorded every `record_every`
+    steps and at the last: a Trajectory, walked in closed form each time
+    it is iterated."""
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every!r}")
-    n, ring = w.sites, max(w.sites, 1)
-    into_plus, into_minus = np.empty((2, 2 * n), dtype=complex)
-    np.multiply(1j * m, w.minus.sig, out=into_plus[:n])
-    np.multiply(1j * m, w.plus.sig, out=into_minus[:n])
-    into_plus[n:], into_minus[n:] = into_plus[:n], into_minus[:n]
-    plus_inf, minus_inf = w.plus.inf.copy(), w.minus.inf.copy()
-    snaps = [w]
-    for t in range(1, steps + 1):
-        k = (2 * t - 2) % ring
-        np.subtract(plus_inf, into_plus[k:k + n], out=plus_inf)
-        k = (2 - 2 * t) % ring
-        np.subtract(minus_inf, into_minus[k:k + n], out=minus_inf)
-        if t % record_every == 0 or t == steps:
-            block = np.empty((4, n), dtype=complex)
-            for dst, src, shift in zip(block, (w.plus.sig, plus_inf, w.minus.sig, minus_inf),
-                                       (t, t, -t, -t)):
-                _rotate(dst, src, shift)
-            snaps.append(WalkState(DCVector._owning(block[0], block[1]),
-                                   DCVector._owning(block[2], block[3]), time=w.time + t))
-    return snaps
+    return Trajectory(w, m, max(steps, 0), record_every)
+
+
+class Trajectory:
+    """The snapshots [initial, ...] of a walk, computed afresh on each
+    iteration, so a consumer holds one snapshot at a time.  len() is the
+    number of recorded times, and trajectory[i] walks once and keeps only
+    snapshot i."""
+
+    __slots__ = ("initial", "m", "steps", "record_every")
+
+    def __init__(self, initial: WalkState, m: float, steps: int, record_every: int):
+        self.initial, self.m, self.steps, self.record_every = initial, m, steps, record_every
+
+    def __len__(self) -> int:
+        return 1 + self.steps // self.record_every + (self.steps % self.record_every != 0)
+
+    def __getitem__(self, i: int) -> WalkState:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"snapshot {i} of a trajectory of {n}")
+        return next(islice(self, i % n, None))
+
+    def __iter__(self):
+        """Yield the initial state, then each recorded one.
+
+        The gate's sig-part only routes, so each sig-part is the initial
+        one carried t sites.  The mass acts at first order: step t
+        subtracts (1j*m) * psi-.sig0[y + 2t - 2] from psi+.inf in its
+        comoving frame y = x - t, and (1j*m) * psi+.sig0[y - 2t + 2] from
+        psi-.inf in y = x + t.  Each product is made once and laid out
+        twice over, so a step is one in-place subtraction of a window per
+        mover, with the operands and order of the stepping recurrence
+        inf - (1j*m)*sig: every bit but a NaN's sign is the recurrence's,
+        signed zeros included.  Snapshots are fresh (4, n) blocks, owned
+        read-only."""
+        w, m, steps = self.initial, self.m, self.steps
+        yield w
+        n, ring = w.sites, max(w.sites, 1)
+        into_plus, into_minus = np.empty((2, 2 * n), dtype=complex)
+        np.multiply(1j * m, w.minus.sig, out=into_plus[:n])
+        np.multiply(1j * m, w.plus.sig, out=into_minus[:n])
+        into_plus[n:], into_minus[n:] = into_plus[:n], into_minus[:n]
+        plus_inf, minus_inf = w.plus.inf.copy(), w.minus.inf.copy()
+        for t in range(1, steps + 1):
+            k = (2 * t - 2) % ring
+            np.subtract(plus_inf, into_plus[k:k + n], out=plus_inf)
+            k = (2 - 2 * t) % ring
+            np.subtract(minus_inf, into_minus[k:k + n], out=minus_inf)
+            if t % self.record_every == 0 or t == steps:
+                block = np.empty((4, n), dtype=complex)
+                for dst, src, shift in zip(block, (w.plus.sig, plus_inf, w.minus.sig, minus_inf),
+                                           (t, t, -t, -t)):
+                    _rotate(dst, src, shift)
+                yield WalkState(DCVector._owning(block[0], block[1]),
+                                DCVector._owning(block[2], block[3]), time=w.time + t)
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,38 @@ class TestTranslateCommand:
         assert rc == 2
         assert f"error: {src}: {located}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, i", [("at_zero", 0), ("at_plus", 1), ("at_minus", 1)])
+    def test_extend_rejects_a_sample_with_an_eps_part(self, tmp_path, capsys, key, i):
+        """A family file holds conventional samples: a nonzero eps-part is
+        an error naming its slot, never silently dropped."""
+        step = 1e-3
+        fam = family_doc(*rectangular_samples(step), step)
+        sig = serialize.matrix_from_json(fam[key][i]).sig
+        fam[key][i] = serialize.matrix_to_json(DCMatrix(sig, 5 * np.eye(*sig.shape)))
+        src, dst = _write_doc(tmp_path / "fam.json", fam), tmp_path / "ext.json"
+        assert main(["translate", "--extend", "--in", src, "--out", str(dst)]) == 2
+        assert f"error: {src}: {key}[{i}]: " in capsys.readouterr().err
+        assert not dst.exists()
+
+    def test_extend_rejects_a_unitary_family_with_an_eps_part(self, tmp_path, capsys):
+        # I + 5 eps I sampled three times once extended to I + 0 eps, exit 0
+        fam = family_doc([np.eye(2)], [np.eye(2)], [np.eye(2)], 1e-3)
+        for key in ("at_zero", "at_plus", "at_minus"):
+            fam[key] = [serialize.matrix_to_json(DCMatrix(np.eye(2), 5 * np.eye(2)))]
+        src = _write_doc(tmp_path / "fam.json", fam)
+        assert main(["translate", "--extend", "--in", src,
+                     "--out", str(tmp_path / "ext.json")]) == 2
+        assert f"error: {src}: at_zero[0]: " in capsys.readouterr().err
+
+    def test_extend_accepts_a_negative_zero_eps_part(self, tmp_path):
+        step = 1e-3
+        zero, plus, minus = ([scipy.linalg.expm(1j * t * SZ)] for t in (0.0, step, -step))
+        fam = family_doc(zero, plus, minus, step)
+        fam["at_plus"][0] = serialize.matrix_to_json(DCMatrix(plus[0], np.full((2, 2), -0.0)))
+        src, dst = _write_doc(tmp_path / "fam.json", fam), str(tmp_path / "ext.json")
+        assert main(["translate", "--extend", "--in", src, "--out", dst]) == 0
+        assert np.abs(serialize.load_tagged(dst).inf - 1j * SZ).max() < 1e-6
+
     @pytest.mark.parametrize("h", [None, "0", "-1", "0.5"])
     def test_extend_takes_its_step_from_the_file(self, tmp_path, h):
         # sampled at +-1e-3; --h is read only by --correct

@@ -3,11 +3,13 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_dc_unitary, random_dc_vector
 from dcquantum.errors import DCError, DimMismatch, MalformedInput, MalformedTrajectory
@@ -335,7 +337,7 @@ class TestTrajectory:
         the reference, on values whose repr is easy to get wrong."""
         special = np.array([complex(-0.0, 5e-324), complex(1 / 3, -0.0),
                             complex(2.5e-310, -1e300), complex(0.1, 7.0)])
-        snaps = run(point_source(4, x0=1), m=0.37, steps=3)
+        snaps = list(run(point_source(4, x0=1), m=0.37, steps=3))
         snaps.append(WalkState(DCVector(special, special[::-1] * 1j),
                                DCVector(-special, special.conj()), time=99))
         snaps.append(WalkState(DCVector(np.zeros(0)), DCVector(np.zeros(0)), time=100))
@@ -375,6 +377,56 @@ class TestTrajectory:
             for u, v in ((a.plus.sig, b.plus.sig), (a.plus.inf, b.plus.inf),
                          (a.minus.sig, b.minus.sig), (a.minus.inf, b.minus.inf)):
                 assert np.array_equal(u.view(np.uint64), v.view(np.uint64))
+
+
+@st.composite
+def _walk_states(draw):
+    """A WalkState on 1-12 sites of edge floats and moderate ones."""
+    sites = draw(st.integers(1, 12))
+    parts = draw(hnp.arrays(np.float64, (4, sites, 2),
+                            elements=_EDGE_FLOATS | st.floats(-4.0, 4.0)))
+    ps, pi, ms, mi = parts.view(complex)[..., 0]
+    return WalkState(DCVector(ps, pi), DCVector(ms, mi), time=draw(st.integers(0, 10**6)))
+
+
+class TestStreamedTrajectory:
+    @given(w=_walk_states(), m=st.sampled_from([0.0, -0.0, 0.37, -2.5, float("nan")]),
+           steps=st.integers(0, 30), every=st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_walk_bytes_match_reference_on_its_snapshot_list(self, tmp_path_factory,
+                                                             w, m, steps, every):
+        """The writer streaming a lazy walk (-0.0, subnormals, NaN and
+        infinities in its state) writes the bytes the reference writer
+        writes for the list of its snapshots, and returns the last."""
+        work = tmp_path_factory.mktemp("traj")
+        traj = run(w, m, steps, every)
+        with np.errstate(all="ignore"):  # infinities and NaN make NaN
+            last = write_trajectory_csv(traj, str(work / "traj.csv"))
+            snaps = list(traj)
+        _write_reference_csv(snaps, work / "ref.csv")
+        assert (work / "traj.csv").read_bytes() == (work / "ref.csv").read_bytes()
+        assert last.time == snaps[-1].time
+        assert np.array_equal(last.minus.inf, snaps[-1].minus.inf, equal_nan=True)
+
+    def test_returns_none_without_snapshots(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        assert write_trajectory_csv([], str(path)) is None
+        assert path.read_text() == ",".join(TRAJECTORY_COLUMNS) + "\n"
+
+    def test_holds_one_snapshot_at_a_time(self, tmp_path):
+        """Walking and writing 101 snapshots of 1024 sites peaks below
+        16 snapshot blocks, where keeping every snapshot takes 101."""
+        block = 4 * 1024 * 16  # four complex128 parts per site
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(run(point_source(1024), 0.5, 100, 1), str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * block
+        _write_reference_csv(run(point_source(1024), 0.5, 100, 1), tmp_path / "ref.csv")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _trajectory_lines(tmp_path):

@@ -210,7 +210,7 @@ class TestRun:
         parts, m, steps, every = walk
         with np.errstate(all="ignore"):  # an infinite or NaN mass makes NaN
             want = _roll_walk(*parts, m, steps, every)
-            got = run(_state(parts), m, steps, every)
+            got = list(run(_state(parts), m, steps, every))
         assert [s.time for s in got] == [t for t, *_ in want]
         for snap, (_, *ref) in zip(got, want):
             for a, b in zip(_parts(snap), ref):
@@ -249,6 +249,56 @@ class TestRun:
     def test_record_every_below_one_rejected(self, every):
         with pytest.raises(ValueError, match=r"^record_every must be >= 1, got "):
             run(point_source(4), 0.5, 3, every)
+
+
+class TestTrajectory:
+    """`run` returns a lazy trajectory: each iteration walks afresh."""
+
+    @given(walk=_walks(st.one_of(_EDGE_REALS, st.floats(-4.0, 4.0)), _MASSES))
+    @settings(max_examples=100, deadline=None)
+    def test_iterations_agree_to_the_byte(self, walk):
+        parts, m, steps, every = walk
+        traj = run(_state(parts), m, steps, every)
+        with np.errstate(all="ignore"):  # an infinite or NaN mass makes NaN
+            first, second = list(traj), list(traj)
+        assert [s.time for s in first] == [s.time for s in second]
+        for a, b in zip(first, second):
+            for u, v in zip(_parts(a), _parts(b)):
+                assert u.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("steps", [0, 1, 5, 7])
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_len_counts_the_recorded_times(self, steps, every):
+        traj = run(point_source(6), 0.5, steps, every)
+        times = [0] + [t for t in range(1, steps + 1) if t % every == 0 or t == steps]
+        assert len(traj) == len(times)
+        assert [s.time for s in traj] == times
+
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_index_is_that_snapshot_of_an_iteration(self, i):
+        traj = run(point_source(9, x0=2), -0.8, 13, 2)
+        want = list(traj)[i]
+        got = traj[i]
+        assert got.time == want.time
+        for u, v in zip(_parts(got), _parts(want)):
+            assert u.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("i", [8, -9])
+    def test_index_out_of_range_rejected(self, i):
+        traj = run(point_source(4), 0.5, 7)
+        with pytest.raises(IndexError):
+            traj[i]
+
+    def test_snapshots_of_two_iterations_disjoint_and_read_only(self):
+        traj = run(point_source(8), 0.7, steps=5)
+        w, *first = traj
+        _, *second = traj
+        parts = [a for s in first + second for a in _parts(s)]
+        assert not any(a.flags.writeable for a in parts)
+        for i, a in enumerate(parts):
+            for b in parts[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert all(not np.shares_memory(a, b) for a in parts for b in _parts(w))
 
 
 class TestContinuumResidual:
