@@ -55,9 +55,18 @@ def _require(ok: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _write(writer, obj, path: str):
+    """writer(obj, path); an --out path that cannot be written is a
+    usage error naming it and the OS reason."""
+    try:
+        return writer(obj, path)
+    except OSError as e:
+        raise _UsageError(f"{path}: {e.strerror}") from None
+
+
 def _write_report(report: dict, path):
     if path:
-        serialize.dump_json(report, path)
+        _write(serialize.dump_json, report, path)
     print(json.dumps(report))
 
 
@@ -71,9 +80,12 @@ def cmd_walk(args) -> int:
     _require(args.steps >= 0, "--steps must be >= 0")
     _require(args.record_every >= 1, "--record-every must be >= 1")
     _require(math.isfinite(args.mass), "--mass must be finite")
-    w = point_source(args.sites)
-    snaps = run(w, args.mass, args.steps, record_every=args.record_every)
-    final = serialize.write_trajectory_csv(snaps, args.out).total_norm()
+    try:
+        snaps = run(point_source(args.sites), args.mass, args.steps,
+                    record_every=args.record_every)
+        final = _write(serialize.write_trajectory_csv, snaps, args.out).total_norm()
+    except MemoryError:
+        raise _UsageError(f"--sites {args.sites}: the lattice does not fit in memory") from None
     print(f"final dual norm: {final.sig!r} + ({final.inf!r})eps")
     return PASS
 
@@ -194,7 +206,7 @@ def cmd_translate(args) -> int:
         if not isinstance(data, dict) or data.get("kind") != "family":
             raise MalformedInput("--extend expects a family file")
         out = _extend_from_family(data)
-        serialize.dump_json(out, args.out)
+        _write(serialize.dump_json, out, args.out)
         return PASS
 
     obj = serialize.load_tagged(args.input)
@@ -208,7 +220,7 @@ def cmd_translate(args) -> int:
         )
     else:
         raise MalformedInput("translate expects a unitary or measurement file")
-    serialize.dump_json(out, args.out)
+    _write(serialize.dump_json, out, args.out)
     return PASS
 
 

@@ -265,7 +265,9 @@ def write_trajectory_csv(snapshots, path: str) -> WalkState | None:
     there is none).
 
     Only live rows, those with a set bit (-0.0 and NaN included), are
-    formatted.  Every other row is t_step followed by
+    formatted: the bitwise OR of the four parts' 64-bit words finds
+    them, and only they are gathered into an (rows, 4) block.  Every
+    other row is t_step followed by
     ",x,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0", taken from a table of such
     suffixes that grows to the largest site count.  Outside a point
     source's light cone almost every row is such a dark row, and its
@@ -279,14 +281,17 @@ def write_trajectory_csv(snapshots, path: str) -> WalkState | None:
             dark.extend(f",{x}" + ",0.0" * 8 for x in range(len(dark), n))
             t = str(snap.time)
             between = "\r\n" + t
+            arrays = (snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf)
             for start in range(0, n, _ROWS_PER_PIECE):
                 stop = min(start + _ROWS_PER_PIECE, n)
-                parts = np.stack([a[start:stop] for a in (
-                    snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf)], 1)
-                live = np.flatnonzero(parts.view(np.uint64).any(axis=1))
+                w0, w1, w2, w3 = (a[start:stop].view(np.uint64) for a in arrays)
+                bits = w0 | w1 | w2 | w3  # each row's re word, then its im word
+                live = np.flatnonzero(bits[0::2] | bits[1::2])
                 piece = dark[start:stop]
-                columns = map(map, repeat(repr), parts[live].view(float).T.tolist())
-                rows = map(",".join, zip(repeat(""), map(str, (live + start).tolist()), *columns))
+                at = live + start
+                parts = np.stack([a[at] for a in arrays], 1)
+                columns = map(map, repeat(repr), parts.view(float).T.tolist())
+                rows = map(",".join, zip(repeat(""), map(str, at.tolist()), *columns))
                 for i, row in zip(live.tolist(), rows):
                     piece[i] = row
                 f.writelines((t, between.join(piece), "\r\n"))

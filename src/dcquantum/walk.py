@@ -65,9 +65,9 @@ class WalkState:
 def point_source(sites: int, x0: Optional[int] = None) -> WalkState:
     """Single right-mover at x0 (default: center site)."""
     x0 = sites // 2 if x0 is None else x0
-    plus = np.zeros(sites, dtype=complex)
-    plus[x0] = 1.0
-    return WalkState(DCVector(plus), DCVector(np.zeros(sites, dtype=complex)))
+    parts = np.zeros((4, sites), dtype=complex)  # psi+ (sig, inf), psi- (sig, inf)
+    parts[0, x0] = 1.0
+    return WalkState(DCVector._owning(parts[0], parts[1]), DCVector._owning(parts[2], parts[3]))
 
 
 def step(w: WalkState, m: float) -> WalkState:
@@ -119,25 +119,33 @@ class Trajectory:
         one carried t sites.  The mass acts at first order: step t
         subtracts (1j*m) * psi-.sig0[y + 2t - 2] from psi+.inf in its
         comoving frame y = x - t, and (1j*m) * psi+.sig0[y - 2t + 2] from
-        psi-.inf in y = x + t.  Each product is made once and laid out
-        twice over, so a step is one in-place subtraction of a window per
-        mover, with the operands and order of the stepping recurrence
-        inf - (1j*m)*sig: every bit but a NaN's sign is the recurrence's,
-        signed zeros included.  Snapshots are fresh (4, n) blocks, owned
-        read-only."""
+        psi-.inf in y = x + t.  Each mover's products are made once, and
+        only their support is kept (`_support`): the span from the first
+        to the last product that can change a bit of the accumulator, so
+        the NaN an infinite mass makes of a zero counts, and a -0
+        component counts while the accumulator holds a -0.0.  A step
+        subtracts that span from the window it lands on, in two slices
+        when the window wraps, so it costs O(support), not O(n).  The
+        products left out change no bit, so every component keeps the
+        operands and order of the stepping recurrence inf - (1j*m)*sig:
+        every bit but a NaN's sign is the recurrence's, signed zeros
+        included.  Snapshots are fresh (4, n) blocks, owned read-only."""
         w, m, steps = self.initial, self.m, self.steps
         yield w
         n, ring = w.sites, max(w.sites, 1)
-        into_plus, into_minus = np.empty((2, 2 * n), dtype=complex)
-        np.multiply(1j * m, w.minus.sig, out=into_plus[:n])
-        np.multiply(1j * m, w.plus.sig, out=into_minus[:n])
-        into_plus[n:], into_minus[n:] = into_plus[:n], into_minus[:n]
         plus_inf, minus_inf = w.plus.inf.copy(), w.minus.inf.copy()
+        # (accumulator, direction, first index of the span, the span)
+        folds = [(plus_inf, -1, *_support(np.multiply(1j * m, w.minus.sig), plus_inf)),
+                 (minus_inf, 1, *_support(np.multiply(1j * m, w.plus.sig), minus_inf))]
+        folds = [f for f in folds if len(f[3])]  # an empty span does no work
         for t in range(1, steps + 1):
-            k = (2 * t - 2) % ring
-            np.subtract(plus_inf, into_plus[k:k + n], out=plus_inf)
-            k = (2 - 2 * t) % ring
-            np.subtract(minus_inf, into_minus[k:k + n], out=minus_inf)
+            for acc, direction, lo, span in folds:
+                start = (lo + direction * (2 * t - 2)) % ring
+                head = acc[start:start + len(span)]  # up to the end of the ring
+                np.subtract(head, span[:len(head)], out=head)
+                if len(head) < len(span):  # the window wraps round the ring
+                    tail = acc[:len(span) - len(head)]
+                    np.subtract(tail, span[len(head):], out=tail)
             if t % self.record_every == 0 or t == steps:
                 block = np.empty((4, n), dtype=complex)
                 for dst, src, shift in zip(block, (w.plus.sig, plus_inf, w.minus.sig, minus_inf),
@@ -145,6 +153,29 @@ class Trajectory:
                     _rotate(dst, src, shift)
                 yield WalkState(DCVector._owning(block[0], block[1]),
                                 DCVector._owning(block[2], block[3]), time=w.time + t)
+
+
+_NEGATIVE_ZERO = np.uint64(1 << 63)  # the bits of -0.0
+
+
+def _support(products: np.ndarray, acc: np.ndarray):
+    """(lo, a copy of products[lo:hi]) for the span from the first to
+    the last product whose subtraction can change a bit of acc; (0,
+    empty) when there is none.
+
+    Subtracting +0 changes no bit of a double, and subtracting -0 changes
+    only a -0.0 (to +0.0).  A difference is -0.0 only as -0.0 - (+0.0),
+    so an accumulator that starts without a -0.0 component never gets
+    one, and then a product whose components are both zero, of either
+    sign, changes nothing."""
+    if (acc.view(np.uint64) == _NEGATIVE_ZERO).any():
+        live = np.flatnonzero(products.view(np.uint64)) // 2  # every set bit
+    else:
+        live = np.flatnonzero(products)  # by value: -0 is zero, NaN is not
+    if not len(live):
+        return 0, products[:0]
+    lo, hi = live[0], live[-1] + 1
+    return int(lo), products[lo:hi].copy()
 
 
 # ---------------------------------------------------------------------------

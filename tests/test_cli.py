@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -677,6 +678,51 @@ class TestConvergenceCommand:
         for r in report["ratios"]:
             assert 1.6 < r < 2.4
 
+
+
+_UNWRITABLE = os.path.join(os.sep, "no", "such", "dir")
+
+
+class TestUnwritableOut:
+    """Every command that takes --out reports a path it cannot write as
+    `error: <path>: <OS reason>`, exit 2, without a traceback."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["walk", "--mass", "0.5", "--sites", "8", "--steps", "3"], "x.csv"),
+        (["translate", "--correct", "--h", "0.1", "--in", "{gate}"], "u.json"),
+        (["check", "covariance", "--alpha", "2", "--beta", "3", "--trials", "2"], "r.json"),
+        (["convergence", "--h-list", "1e-2", "5e-3"], "c.json"),
+    ], ids=["walk", "translate", "check_covariance", "convergence"])
+    def test_missing_directory_is_usage_error(self, tmp_path, capsys, argv, name):
+        gate = write_unitary(tmp_path / "gate.json", dirac_gate(0.5))
+        out = os.path.join(_UNWRITABLE, name)
+        assert main([a.format(gate=gate) for a in argv] + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+    def test_directory_as_out_is_usage_error(self, tmp_path, capsys):
+        rc = main(["walk", "--mass", "0.5", "--sites", "8", "--steps", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
+def test_lattice_too_large_is_usage_error(tmp_path):
+    """10^12 sites is 16 TB per array, which the allocator refuses at
+    once; the child's address space is capped at 4 GiB as well, so the
+    request is refused however the host overcommits memory."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = os.path.dirname(os.path.dirname(dcquantum.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-m", "dcquantum.cli", "walk", "--mass", "0.5",
+         "--sites", "1000000000000", "--steps", "1", "--out", "x.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=cap_address_space)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: --sites 1000000000000: ")
+    assert "Traceback" not in out.stderr
 
 
 _BAD_FLAGS = [

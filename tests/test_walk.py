@@ -29,6 +29,7 @@ from dcquantum.walk import (
 )
 from dcquantum.linalg import DCVector
 from dcquantum.cli import main
+from dcquantum import walk as walk_module
 
 
 class TestGate:
@@ -198,6 +199,17 @@ def _state(parts) -> WalkState:
     return WalkState(DCVector(ps, pi), DCVector(ms, mi))
 
 
+def _assert_walks_as_recurrence(parts, m, steps, every):
+    """Every snapshot of `run` has the bits of the stepping recurrence's."""
+    with np.errstate(all="ignore"):  # an infinite or NaN mass makes NaN
+        want = _roll_walk(*parts, m, steps, every)
+        got = list(run(_state(parts), m, steps, every))
+    assert [s.time for s in got] == [t for t, *_ in want]
+    for snap, (_, *ref) in zip(got, want):
+        for a, b in zip(_parts(snap), ref):
+            assert _field_bits(a) == _field_bits(b)
+
+
 class TestRun:
     @given(walk=_walks(st.one_of(_EDGE_REALS, st.floats(-4.0, 4.0)), _MASSES))
     @example(walk=((np.zeros(0, complex),) * 4, 0.7, 3, 1))
@@ -207,14 +219,7 @@ class TestRun:
     def test_bit_identical_to_roll_recurrence(self, walk):
         """Every recorded snapshot's four parts, to the bit (signed zeros
         included; NaN by position), against the stepping recurrence."""
-        parts, m, steps, every = walk
-        with np.errstate(all="ignore"):  # an infinite or NaN mass makes NaN
-            want = _roll_walk(*parts, m, steps, every)
-            got = list(run(_state(parts), m, steps, every))
-        assert [s.time for s in got] == [t for t, *_ in want]
-        for snap, (_, *ref) in zip(got, want):
-            for a, b in zip(_parts(snap), ref):
-                assert _field_bits(a) == _field_bits(b)
+        _assert_walks_as_recurrence(*walk)
 
     @given(walk=_walks(st.floats(-4.0, 4.0), st.sampled_from([0.0, 0.7, -2.3, 1e3])))
     @settings(max_examples=100, deadline=None)
@@ -299,6 +304,71 @@ class TestTrajectory:
             for b in parts[i + 1:]:
                 assert not np.shares_memory(a, b)
         assert all(not np.shares_memory(a, b) for a in parts for b in _parts(w))
+
+
+# components of the few entries a sparse field holds
+_SPARSE_REALS = st.sampled_from([-0.0, 5e-324, math.nan, 1.0, -0.7])
+
+
+@st.composite
+def _sparse_walks(draw):
+    """(four parts, mass, steps, record_every) on 0-200 sites, each part
+    +0 except a few entries, often at either end of the ring so that a
+    support spans the wrap; walked up to three times round the ring."""
+    sites = draw(st.integers(0, 200))
+    parts = np.zeros((4, sites), dtype=complex)
+    if sites:
+        site = st.one_of(st.sampled_from([0, sites - 1]), st.integers(0, sites - 1))
+        for part in parts:
+            for x in draw(st.lists(site, max_size=3)):
+                part[x] = complex(draw(_SPARSE_REALS), draw(_SPARSE_REALS))
+    steps = draw(st.integers(0, 3 * max(sites, 1)))
+    return tuple(parts), draw(_MASSES), steps, draw(st.integers(1, 7))
+
+
+class TestSparseSupport:
+    """The fold subtracts only the span of products that are not +0+0j."""
+
+    @given(walk=_sparse_walks())
+    @example(walk=((np.array([1.0, 0, 0, 0, 2.0], complex),) + (np.zeros(5, complex),) * 3,
+                   0.7, 15, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_roll_recurrence(self, walk):
+        _assert_walks_as_recurrence(*walk)
+
+    def test_zero_products_keep_a_negative_zero_eps_part(self):
+        """psi-.sig is +0 everywhere, so psi+ folds nothing: its -0.0
+        eps-part must stay -0.0, as -0.0 - (+0.0) does."""
+        n = 6
+        neg = np.full(n, complex(-0.0, -0.0))
+        w = WalkState(DCVector(np.eye(n)[2], neg), DCVector(np.zeros(n)))
+        *_, last = run(w, 0.7, 9)
+        assert last.plus.inf.tobytes() == neg.tobytes()
+
+    def test_negative_zero_products_reach_a_negative_zero_eps_part(self):
+        """With m < 0 every psi+ product is +0 - 0j, which turns the
+        imaginary -0.0 of psi+.inf into +0.0 at the first step."""
+        n = 6
+        w = WalkState(DCVector(np.eye(n)[2], np.full(n, complex(-0.0, -0.0))),
+                      DCVector(np.zeros(n)))
+        *_, last = run(w, -0.7, 9)
+        assert last.plus.inf.tobytes() == np.full(n, complex(-0.0, 0.0)).tobytes()
+
+    @pytest.mark.parametrize("m", [0.6, -0.6, 0.0, -0.0])
+    def test_point_source_folds_one_site(self, m, monkeypatch):
+        """A point source's eps-parts start +0, so whatever the sign of
+        the mass only the source's product is subtracted."""
+        spans = []
+        support = walk_module._support
+
+        def recording(products, acc):
+            lo, span = support(products, acc)
+            spans.append(len(span))
+            return lo, span
+
+        monkeypatch.setattr(walk_module, "_support", recording)
+        list(run(point_source(64, x0=5), m, 10))
+        assert spans == [0, 0 if m == 0 else 1]
 
 
 class TestContinuumResidual:
