@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -107,7 +108,8 @@ def _check_spectrum(m: DCMatrix, atol: float, delta: float):
         except NotUnitary:  # the Hermitian residual raises NonSquare on a state
             return False, min(residual(m, OperatorKind.HERMITIAN),
                               residual(m, OperatorKind.UNITARY))
-    worst = _relative_defect(spec.reconstruct() - m, m)
+    rebuilt = spec.reconstruct()
+    worst = _relative_defect(rebuilt.sig - m.sig, rebuilt.inf - m.inf, (m,))
     return worst <= atol, worst
 
 
@@ -314,6 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_convergence)
 
+    # argparse reads a token that starts with '-' as a flag's value only if
+    # its negative-number pattern, which has no exponent, matches it, so
+    # `--mass -1e-3` would be an unknown option: take every negative
+    # decimal float literal as a value
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

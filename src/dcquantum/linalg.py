@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,6 @@ REQUIRE_ATOL = 1e-8
 _COMPLETE_ATOL = 1e-9
 
 
-def _as_carray(a) -> np.ndarray:
-    out = np.asarray(a, dtype=complex).copy()
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class _DualArray:
     """sig + eps*inf over two equal-shape complex arrays of NDIM
@@ -49,31 +43,46 @@ class _DualArray:
     inf: np.ndarray = None
 
     def __post_init__(self):
-        sig = _as_carray(self.sig)
-        inf = _as_carray(np.zeros_like(sig) if self.inf is None else self.inf)
+        # defensive C-ordered copies of the caller's arrays
+        sig = np.array(self.sig, dtype=complex, order="C")
+        self._own(sig, np.zeros(sig.shape, dtype=complex) if self.inf is None
+                  else np.array(self.inf, dtype=complex, order="C"))
+
+    def _own(self, sig, inf):
         if sig.shape != inf.shape or sig.ndim != self.NDIM:
             raise DimMismatch(
                 f"{type(self).__name__} parts must be equal-shape {self.NDIM}-d arrays")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "inf", inf)
+        sig.setflags(write=False)
+        inf.setflags(write=False)
+        vars(self).update(sig=sig, inf=inf)  # past the frozen __setattr__
+
+    @classmethod
+    def _owning(cls, sig: np.ndarray, inf: np.ndarray):
+        """Take ownership of two freshly allocated, equal-shape complex
+        arrays of NDIM dimensions without the defensive copy: they are
+        frozen in place, so the caller must hold no other reference it
+        writes to.  Every ring result is built this way."""
+        v = object.__new__(cls)
+        v._own(sig, inf)
+        return v
 
     def __getitem__(self, index) -> DualComplex:
         return DualComplex(self.sig[index], self.inf[index])
 
     def __add__(self, other):
-        return type(self)(self.sig + other.sig, self.inf + other.inf)
+        return type(self)._owning(self.sig + other.sig, self.inf + other.inf)
 
     def __sub__(self, other):
-        return type(self)(self.sig - other.sig, self.inf - other.inf)
+        return type(self)._owning(self.sig - other.sig, self.inf - other.inf)
 
     def __neg__(self):
-        return type(self)(-self.sig, -self.inf)
+        return type(self)._owning(-self.sig, -self.inf)
 
     def scale(self, w):
         """Multiply by a dual scalar (DualComplex or DualReal) or a plain complex."""
         if isinstance(w, DualNumber):
-            return type(self)(*_leibniz(np.multiply, w, self))
-        return type(self)(w * self.sig, w * self.inf)
+            return type(self)._owning(*_leibniz(np.multiply, w, self))
+        return type(self)._owning(w * self.sig, w * self.inf)
 
 
 @dataclass(frozen=True)
@@ -81,18 +90,6 @@ class DCVector(_DualArray):
     """Dense vector over DualComplex: v = sig + eps*inf."""
 
     NDIM = 1
-
-    @classmethod
-    def _owning(cls, sig: np.ndarray, inf: np.ndarray) -> "DCVector":
-        """Take ownership of two freshly allocated, equal-length 1-d
-        complex arrays without the defensive copy: they are frozen in
-        place, so the caller must hold no other reference it writes to."""
-        sig.setflags(write=False)
-        inf.setflags(write=False)
-        v = object.__new__(cls)
-        object.__setattr__(v, "sig", sig)
-        object.__setattr__(v, "inf", inf)
-        return v
 
     @property
     def dim(self) -> int:
@@ -132,19 +129,20 @@ class DCMatrix(_DualArray):
             return NotImplemented
         if isinstance(other, DCVector) and self.cols != other.dim:
             raise DimMismatch(f"{self.shape} @ vector of dim {other.dim}")
-        return type(other)(*_leibniz(np.matmul, self, other))
+        return type(other)._owning(*_leibniz(np.matmul, self, other))
 
     def adjoint(self) -> "DCMatrix":
-        return DCMatrix(self.sig.conj().T, self.inf.conj().T)
+        # one fresh C-ordered array per part, the layout products have used
+        return DCMatrix._owning(*(np.conjugate(p.T, order="C") for p in (self.sig, self.inf)))
 
     @staticmethod
     def identity(n: int) -> "DCMatrix":
-        return DCMatrix(np.eye(n, dtype=complex))
+        return DCMatrix._owning(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
 
     @staticmethod
     def zeros(rows: int, cols: int = None) -> "DCMatrix":
         cols = rows if cols is None else cols
-        return DCMatrix(np.zeros((rows, cols), dtype=complex))
+        return DCMatrix._owning(*np.zeros((2, rows, cols), dtype=complex))
 
 
 class OperatorKind(enum.Enum):
@@ -177,7 +175,7 @@ class DualSpectrum:
     def reconstruct(self) -> DCMatrix:
         """P diag(values) P^dag carried out in dual arithmetic."""
         p = DCMatrix(self.basis_sig, self.basis_inf)
-        return DCMatrix(*_leibniz(np.multiply, p, self.values)) @ p.adjoint()
+        return DCMatrix._owning(*_leibniz(np.multiply, p, self.values)) @ p.adjoint()
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +217,7 @@ def divide_vector(v: DCVector, w: DualNumber) -> DCVector:
     if abs(w.sig) <= TAU:
         raise InfinitesimalVector("cannot divide a vector by an infinitesimal scalar")
     z, t = complex(w.sig), complex(w.inf)
-    sig = v.sig / z
-    inf = v.inf / z - v.sig * t / (z * z)
-    return DCVector(sig, inf)
+    return DCVector._owning(v.sig / z, v.inf / z - v.sig * t / (z * z))
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +225,25 @@ def divide_vector(v: DCVector, w: DualNumber) -> DCVector:
 # ---------------------------------------------------------------------------
 
 
-def _relative_defect(d: DCMatrix, m: DCMatrix) -> float:
-    """The larger of each part's max-norm defect d over max(1, that part's
-    largest modulus in m), a backward error (Higham, ch. 1); NaN if d has one."""
-    return float(np.max([np.abs(dp).max(initial=0.0) / max(1.0, np.abs(mp).max(initial=0.0))
-                         for dp, mp in ((d.sig, m.sig), (d.inf, m.inf))]))
+def _relative_defect(d_sig, d_inf, family) -> float:
+    """The larger of each part's max-norm defect over max(1, that part's
+    largest modulus in the matrices checked), a backward error (Higham,
+    ch. 1); NaN if a defect has one."""
+    return float(np.max([np.abs(d).max(initial=0.0) / max(1.0, np.max(
+        [np.abs(getattr(m, part)).max(initial=0.0) for m in family]))
+        for d, part in ((d_sig, "sig"), (d_inf, "inf"))]))
 
 
 def residual(m: DCMatrix, kind: OperatorKind) -> float:
     """Relative defect of m from the identity that defines `kind`: M^dag - M
     (Hermitian), M^dag + M (anti-Hermitian), or M^dag M - I (unitary; for a
     non-square m, such as a state's column or a family's stack, an isometry check)."""
-    adj = m.adjoint()
     if kind is OperatorKind.UNITARY:
-        return _relative_defect(adj @ m - DCMatrix.identity(m.cols), m)
+        return completeness_defect((m,))
     if m.rows != m.cols:
         raise NonSquare(f"{kind.value} residual needs a square matrix, got {m.shape}")
-    return _relative_defect(adj - m if kind is OperatorKind.HERMITIAN else adj + m, m)
+    op = np.subtract if kind is OperatorKind.HERMITIAN else np.add
+    return _relative_defect(op(m.sig.conj().T, m.sig), op(m.inf.conj().T, m.inf), (m,))
 
 
 def classify_op(m: DCMatrix, atol: float = 1e-10) -> frozenset:
@@ -312,7 +310,17 @@ def mat_exp(a_eps: DCMatrix) -> DCMatrix:
     e = np.exp(lam)
     qh = q.conj().T
     f = _exp_divided_differences(lam, e)
-    return DCMatrix((q * e) @ qh, q @ (f * (qh @ b @ q)) @ qh)
+    # Q (F o Q^dag B Q) Q^dag, then (Q e) Q^dag, reusing n x n buffers.
+    # No output aliases an input, and F o X keeps its form: numpy computes
+    # it in place into the product's temporary once that is large, in the
+    # operand order (X, F), and complex products are not commutative bit
+    # for bit under fused multiply-add.
+    t = qh @ b
+    inf = f * (t @ q)
+    np.matmul(q, inf, out=t)
+    np.matmul(t, qh, out=inf)
+    np.matmul(np.multiply(q, e, out=t), qh, out=q)
+    return DCMatrix._owning(q, inf)
 
 
 def _exp_divided_differences(lam: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -322,13 +330,13 @@ def _exp_divided_differences(lam: np.ndarray, e: np.ndarray) -> np.ndarray:
     finite."""
     swap = lam.real[:, None] < lam.real[None, :]
     e_hi = np.where(swap, e[None, :], e[:, None])
-    diff = lam[:, None] - lam[None, :]
-    d = np.where(swap, diff, -diff)  # lo - hi
+    d = lam[:, None] - lam[None, :]
+    np.negative(d, out=d, where=~swap)  # lo - hi
     same = d == 0
     d[same] = 1.0
     ratio = np.expm1(d) / d
     ratio[same] = 1.0
-    return e_hi * ratio
+    return np.multiply(e_hi, ratio, out=d)
 
 
 def _mat_exp_taylor(a_eps: DCMatrix) -> DCMatrix:
@@ -489,10 +497,8 @@ def check_appreciably_semipositive(e: DCMatrix, tau: float = TAU) -> Semipositiv
         raise NonSquare("semipositivity check needs a square matrix")
     if not (np.isfinite(e.sig).all() and np.isfinite(e.inf).all()):
         return SemipositivityReport(False, float("nan"))
-    adj = e.adjoint()
     # exactly Hermitian, bit for bit, and no overflow for finite E
-    spec = eig_hermitian(DCMatrix(0.5 * e.sig + 0.5 * adj.sig, 0.5 * e.inf + 0.5 * adj.inf),
-                         delta=tau)
+    spec = eig_hermitian(e.scale(0.5) + e.adjoint().scale(0.5), delta=tau)
     a, b = spec.values.sig.real, spec.values.inf.real
     zero = np.abs(a) <= tau
     ok = (a > tau) | (zero & (np.abs(b) <= tau))
@@ -510,21 +516,32 @@ def check_appreciably_semipositive(e: DCMatrix, tau: float = TAU) -> Semipositiv
 
 
 def _stack(family) -> DCMatrix:
-    """The family's operators stacked row-wise, each with as many columns as M_0."""
+    """The operators of a family `completeness_defect` has taken, stacked row-wise."""
+    return DCMatrix._owning(np.concatenate([m.sig for m in family]),
+                            np.concatenate([m.inf for m in family]))
+
+
+def completeness_defect(family) -> float:
+    """Relative defect of sum_m M_m^dag M_m from I + 0eps: the isometry
+    residual of the stacked family, which is not built.  The family must
+    be non-empty, and each operator must have as many columns as M_0.
+
+    It works part by part (Leibniz): with M = A0 + eps A1 and
+    X = A0^dag A1, M^dag M is A0^dag A0 + eps (X + X^dag), two products
+    per operator and no dual temporaries; the scales are those of the
+    stack."""
     if not family:
         raise IncompleteFamily("empty operator family")
     d = family[0].cols
     for i, m in enumerate(family):
         if m.cols != d:
             raise DimMismatch(f"operator {i} has {m.cols} columns, operator 0 has {d}")
-    return DCMatrix(np.concatenate([m.sig for m in family]),
-                    np.concatenate([m.inf for m in family]))
-
-
-def completeness_defect(family) -> float:
-    """Relative defect of sum_m M_m^dag M_m from I + 0eps: the isometry
-    residual of the stacked family."""
-    return residual(_stack(family), OperatorKind.UNITARY)
+    gram, x = -np.eye(d), 0
+    for m in family:
+        a0h = m.sig.conj().T
+        gram = gram + a0h @ m.sig
+        x = x + a0h @ m.inf
+    return _relative_defect(gram, x + x.conj().T, family)
 
 
 def stinespring(family) -> DCMatrix:
@@ -537,13 +554,12 @@ def stinespring(family) -> DCMatrix:
     is deterministic but not canonical; only the first block-column is
     contractual.
     """
-    v = _stack(family)
-    defect = residual(v, OperatorKind.UNITARY)
+    defect = completeness_defect(family)
     if not defect <= _COMPLETE_ATOL:  # NaN fails too
         raise IncompleteFamily(
             f"sum M^dag M deviates from I by {defect:.3e} (atol {_COMPLETE_ATOL:.1e})"
         )
-    return _complete_isometry(v)
+    return _complete_isometry(_stack(family))
 
 
 def _complete_isometry(v: DCMatrix) -> DCMatrix:
@@ -556,7 +572,7 @@ def _complete_isometry(v: DCMatrix) -> DCMatrix:
     lead = w0[np.abs(w0).argmax(axis=0), np.arange(w0.shape[1])]
     w0 = w0 * (lead.conj() / np.abs(lead))
     w1 = -v.sig @ (v.inf.conj().T @ w0)
-    return DCMatrix(np.hstack([v.sig, w0]), np.hstack([v.inf, w1]))
+    return DCMatrix._owning(np.hstack([v.sig, w0]), np.hstack([v.inf, w1]))
 
 
 def dilation_block(u_eps: DCMatrix, m: int, d: int) -> DCMatrix:
@@ -570,4 +586,4 @@ def dilation_block(u_eps: DCMatrix, m: int, d: int) -> DCMatrix:
 
 def kron(a: _DualArray, b: _DualArray) -> _DualArray:
     """Tensor product a (x) b of two vectors or of two matrices."""
-    return type(a)(*_leibniz(np.kron, a, b))
+    return type(a)._owning(*_leibniz(np.kron, a, b))

@@ -219,7 +219,11 @@ def dc_extend_unitary(family: Callable) -> DCMatrix:
 def complex_correct_unitary(u_eps: DCMatrix, h: float) -> np.ndarray:
     """exp(ihH) U: the conventional unitary agreeing with U_eps|_(eps=h)
     up to O(h^2), from the eigendecomposition of the Hermitian H."""
-    u, herm = decompose_unitary(u_eps)
+    return _corrected(*decompose_unitary(u_eps), h)
+
+
+def _corrected(u: np.ndarray, herm: np.ndarray, h: float) -> np.ndarray:
+    """exp(ihH) U for a unitary U and a Hermitian H."""
     w, q = np.linalg.eigh(herm)
     return (q * np.exp(1j * h * w)) @ q.conj().T @ u
 
@@ -243,9 +247,14 @@ def complex_correct_measurement(
     caller holding a specific completion may pass it in.  Block
     extraction and completeness hold for every valid dilation.
     """
-    if dilation is None:  # m is complete: Measurement has checked it
-        dilation = _complete_isometry(_stack(m.operators))
-    corrected = complex_correct_unitary(dilation, h)[:, :m.dim]
+    if dilation is None:
+        # m is complete (Measurement has checked it), so its completion is
+        # unitary by construction and is not checked again
+        u = _complete_isometry(_stack(m.operators))
+        corrected = _corrected(u.sig, _hermitian_generator(u.inf, u.sig), h)
+    else:
+        corrected = complex_correct_unitary(dilation, h)
+    corrected = corrected[:, :m.dim]
     ends = np.cumsum([op.rows for op in m.operators])  # block m ends at row ends[m]
     return [block.copy() for block in np.split(corrected, ends)[:-1]]
 

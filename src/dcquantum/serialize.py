@@ -187,7 +187,9 @@ def load_tagged(path: str):
 # too, the slots cannot be told apart, and json encodes the whole file.
 _SLOT = "dcquantum:entries"
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
-_ROWS_PER_PIECE = 1024  # rows formatted at once, which bounds the strings alive
+# Rows formatted at once, which bounds the strings alive; a power of ten,
+# so the sites of a CSV piece share all but their last three digits.
+_ROWS_PER_PIECE = 1000
 
 
 def _frame(value, blocks: list, indent: int = 0):
@@ -268,33 +270,44 @@ def write_trajectory_csv(snapshots, path: str) -> WalkState | None:
     formatted: the bitwise OR of the four parts' 64-bit words finds
     them, and only they are gathered into an (rows, 4) block.  Every
     other row is t_step followed by
-    ",x,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0", taken from a table of such
-    suffixes that grows to the largest site count.  Outside a point
-    source's light cone almost every row is such a dark row, and its
-    repr could only be "0.0"."""
-    dark = []  # dark[x] is the suffix of a dark row at site x
+    ",x,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0".  Outside a point source's
+    light cone almost every row is such a dark row, and its repr could
+    only be "0.0".  A piece holds the 1000 sites x = 1000 k + j,
+    j < 1000, so its rows share the head t_step + ",k" (t_step alone
+    for k = 0), which the join puts before each row; the rest of a dark
+    row is j's entry in one of two tables, ",j,0.0,..." for k = 0 and
+    "jjj,0.0,..." (j in three digits) for k >= 1, and a live row drops
+    its first len(",k") characters.  Each table grows to the entries the
+    largest snapshot needs, at most 1000, so together they never hold
+    more entries than there are sites."""
+    zeros = ",0.0" * 8
+    first, later = [], []
     snap = None
     with open(path, "w", newline="") as f:
         f.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for snap in snapshots:
             n = snap.sites
-            dark.extend(f",{x}" + ",0.0" * 8 for x in range(len(dark), n))
+            first.extend(f",{j}" + zeros for j in range(len(first), min(n, _ROWS_PER_PIECE)))
+            later.extend(str(_ROWS_PER_PIECE + j)[1:] + zeros  # j:03d
+                         for j in range(len(later), min(n - _ROWS_PER_PIECE, _ROWS_PER_PIECE)))
             t = str(snap.time)
-            between = "\r\n" + t
             arrays = (snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf)
             for start in range(0, n, _ROWS_PER_PIECE):
                 stop = min(start + _ROWS_PER_PIECE, n)
                 w0, w1, w2, w3 = (a[start:stop].view(np.uint64) for a in arrays)
                 bits = w0 | w1 | w2 | w3  # each row's re word, then its im word
                 live = np.flatnonzero(bits[0::2] | bits[1::2])
-                piece = dark[start:stop]
+                k = start // _ROWS_PER_PIECE
+                head = f"{t},{k}" if k else t
+                piece = (later if k else first)[:stop - start]
                 at = live + start
                 parts = np.stack([a[at] for a in arrays], 1)
                 columns = map(map, repeat(repr), parts.view(float).T.tolist())
                 rows = map(",".join, zip(repeat(""), map(str, at.tolist()), *columns))
+                cut = len(head) - len(t)
                 for i, row in zip(live.tolist(), rows):
-                    piece[i] = row
-                f.writelines((t, between.join(piece), "\r\n"))
+                    piece[i] = row[cut:]
+                f.writelines((head, ("\r\n" + head).join(piece), "\r\n"))
     return snap
 
 

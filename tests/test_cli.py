@@ -784,6 +784,50 @@ class TestFlagRanges:
                      "--trials", "1"]) == 0
         capsys.readouterr()
 
+# Each float flag with a negative value written with an exponent, and the
+# same value in plain decimals, which argparse has always read as a value.
+_NEGATIVE_EXPONENT_FLAGS = [
+    (["walk", "--mass", "{v}", "--sites", "16", "--steps", "8", "--out", "{out}"], "-1e-3"),
+    (["check", "covariance", "--mass", "{v}", "--trials", "2"], "-2.5e-1"),
+    (["check", "covariance", "--mode", "corrected", "--h", "{v}", "--trials", "2"], "-1e-2"),
+    (["translate", "--correct", "--h", "{v}", "--in", "{gate}", "--out", "{out}"], "-1E-2"),
+    (["convergence", "--mass", "{v}", "--h-list", "1e-2", "5e-3"], "-5e-1"),
+    (["convergence", "--h-list", "{v}", "{v}"], "-1e-2"),
+    (["convergence", "--walk", "--sites", "16", "32", "--wavenumber", "{v}"], "-1e+0"),
+    (["--rtol", "{v}", "check", "unitary", "--in", "{gate}"], "-1e-3"),
+    (["--tau", "{v}", "check", "semipositive", "--in", "{gate}"], "-1e-3"),
+    (["--delta", "{v}", "check", "spectrum", "--in", "{gate}"], "-1e-3"),
+]
+
+
+class TestNegativeExponentValues:
+    """A negative float written with an exponent is a flag's value, not
+    an unknown option: every float flag reads it as it reads the value
+    in plain decimals."""
+
+    def test_walk_mass_writes_the_bytes_of_the_attached_form(self, tmp_path, capsys):
+        spaced, attached = tmp_path / "spaced.csv", tmp_path / "attached.csv"
+        shape = ["--sites", "64", "--steps", "40", "--record-every", "5"]
+        assert main(["walk", "--mass=-1e-3", *shape, "--out", str(attached)]) == 0
+        assert main(["walk", "--mass", "-1e-3", *shape, "--out", str(spaced)]) == 0
+        assert spaced.read_bytes() == attached.read_bytes()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, value", _NEGATIVE_EXPONENT_FLAGS,
+                             ids=[" ".join(a) for a, _ in _NEGATIVE_EXPONENT_FLAGS])
+    def test_flag_reads_the_value_as_in_decimals(self, tmp_path, capsys, argv, value):
+        gate = write_unitary(tmp_path / "g.json", dirac_gate(0.7))
+        runs = []
+        for v in (repr(float(value)), value):
+            out = tmp_path / f"out{len(runs)}"
+            rc = main([a.format(v=v, gate=gate, out=out) for a in argv])
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out, captured.err,
+                         out.read_bytes() if out.exists() else None))
+        assert runs[1] == runs[0]
+        assert "expected one argument" not in runs[1][2]
+
+
 def test_console_script_help():
     out = subprocess.run([sys.executable, "-m", "dcquantum.cli", "--help"],
                          capture_output=True, text=True)

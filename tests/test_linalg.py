@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     mat_exp_series,
@@ -19,6 +20,7 @@ from dcquantum.linalg import (
     DCVector,
     OperatorKind,
     classify_op,
+    completeness_defect,
     decompose_unitary,
     divide_vector,
     eig_hermitian,
@@ -377,6 +379,123 @@ class TestKindPredicates:
         predicate(DCMatrix.identity(3))
         want = OperatorKind.HERMITIAN if predicate is is_hermitian else OperatorKind.UNITARY
         assert kinds == [want]
+
+
+def _dual_temporary_residual(m, kind):
+    """The former residual, kept as the reference: M^dag M - I, M^dag - M
+    or M^dag + M formed as dual matrices, then each part's max-norm over
+    max(1, that part's largest modulus in m)."""
+    adj = DCMatrix(m.sig.conj().T, m.inf.conj().T)
+    if kind is OperatorKind.UNITARY:
+        d = adj @ m - DCMatrix(np.eye(m.cols))
+    elif m.rows != m.cols:
+        raise NonSquare(f"{kind.value} residual needs a square matrix, got {m.shape}")
+    else:
+        d = adj - m if kind is OperatorKind.HERMITIAN else adj + m
+    return float(np.max([np.abs(dp).max(initial=0.0) / max(1.0, np.abs(mp).max(initial=0.0))
+                         for dp, mp in ((d.sig, m.sig), (d.inf, m.inf))]))
+
+
+def _stacked_completeness_defect(family):
+    """The former completeness defect: the isometry residual of the stack."""
+    return _dual_temporary_residual(
+        DCMatrix(np.concatenate([m.sig for m in family]),
+                 np.concatenate([m.inf for m in family])), OperatorKind.UNITARY)
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0, 5e-324]) | st.floats(-4.0, 4.0)
+
+
+def _dual_parts(rows, cols):
+    """The (sig, inf) parts of a rows x cols dual matrix: signed zeros,
+    NaN, subnormals and moderate values in each real component."""
+    return hnp.arrays(np.float64, (2, rows, cols, 2), elements=_ENTRIES).map(
+        lambda a: DCMatrix(*a.view(complex)[..., 0]))
+
+
+@st.composite
+def _stacks(draw):
+    """1 to 4 operators with a common column count, square or rectangular."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return [draw(_dual_parts(r, cols)) for r in rows]
+
+
+def _agree(got, want, family):
+    """Equal NaN-ness, and within the rounding of two orders of summing the
+    same products: each product's error is below R u sum_k |a_k||b_k|, R rows."""
+    if np.isnan(want):
+        return np.isnan(got)
+    rows = sum(m.rows for m in family)
+    s0 = max(np.abs(m.sig).max() for m in family)
+    s1 = max(np.abs(m.inf).max() for m in family)
+    tol = 16 * rows * rows * np.finfo(float).eps * (s0 * s0 / max(1.0, s0)
+                                                    + s0 * s1 / max(1.0, s1))
+    return abs(got - want) <= tol + 4 * np.finfo(float).eps * want
+
+
+class TestResidualByParts:
+    """residual and completeness_defect work on the parts (Leibniz: the
+    eps-part of M^dag M is X + X^dag with X = A0^dag A1) and agree with
+    the dual-temporary formulas they replaced."""
+
+    @given(_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_dual_temporary_formulas(self, family):
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _stacked_completeness_defect(family)
+            got = completeness_defect(family)
+            assert _agree(got, want, family), (got, want)
+            for m in family:
+                assert _agree(residual(m, OperatorKind.UNITARY),
+                              _dual_temporary_residual(m, OperatorKind.UNITARY), [m])
+                for kind in (OperatorKind.HERMITIAN, OperatorKind.ANTI_HERMITIAN):
+                    if m.rows != m.cols:
+                        with pytest.raises(NonSquare):
+                            residual(m, kind)
+                        with pytest.raises(NonSquare):
+                            _dual_temporary_residual(m, kind)
+                    else:  # the same subtractions, so the same bits
+                        assert (np.float64(residual(m, kind)).tobytes()
+                                == np.float64(_dual_temporary_residual(m, kind)).tobytes())
+
+
+class TestRingResultsOwnTheirArrays:
+    """Each ring result holds two fresh read-only arrays, which share no
+    memory with any operand or with each other."""
+
+    @staticmethod
+    def results(rng):
+        a, b = (DCMatrix(*_random_parts(rng, (3, 3))) for _ in range(2))
+        r = DCMatrix(*_random_parts(rng, (4, 3)))
+        u, v = (DCVector(*_random_parts(rng, (3,))) for _ in range(2))
+        h = DCMatrix(*(0.5 * (p + p.conj().T) for p in _random_parts(rng, (3, 3))))
+        yield from [((a, b), a + b), ((a, b), a - b), ((a,), -a), ((u, v), u + v),
+                    ((u,), -u), ((a,), a.scale(DualComplex(0.5 - 1j, 2.0))),
+                    ((u,), u.scale(DualReal(2.0, -3.0))), ((a,), a.scale(3j)),
+                    ((r, a), r @ a), ((a, u), a @ u), ((r,), r.adjoint()),
+                    ((a, b), kron(a, b)), ((u, v), kron(u, v)),
+                    ((), DCMatrix.identity(3)), ((), DCMatrix.zeros(2, 3)),
+                    ((h,), mat_exp(h)), ((h,), mat_exp(h.scale(1j))), ((a,), mat_exp(a)),
+                    ((u,), divide_vector(u, DualComplex(2 - 1j, 0.7))),
+                    ((h,), eig_hermitian(h).reconstruct())]
+
+    def test_read_only_and_unshared(self, rng):
+        for operands, got in self.results(rng):
+            parts = [got.sig, got.inf]
+            assert not any(p.flags.writeable for p in parts)
+            assert not np.shares_memory(got.sig, got.inf)
+            for op in operands:
+                for p in parts:
+                    assert not np.shares_memory(p, op.sig) and not np.shares_memory(p, op.inf)
+
+    def test_the_constructor_copies_and_fills_a_missing_eps_part(self, rng):
+        sig = rng.standard_normal((2, 3)) + 0j
+        m = DCMatrix(sig)
+        assert not np.shares_memory(m.sig, sig) and not m.inf.flags.writeable
+        assert m.inf.shape == (2, 3) and not m.inf.any()
+        sig[0, 0] = 7.0
+        assert m.sig[0, 0] != 7.0
 
 
 def test_unitary_preserves_dual_norm(rng):

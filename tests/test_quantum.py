@@ -605,6 +605,7 @@ class TestCorrectMeasurementChecksOnce:
 
     def test_only_the_dilation_is_checked(self, rng, monkeypatch):
         m = self.family(rng, (2, 3), 2)
+        dilation = stinespring(m.operators)
         shapes = []
 
         def recording(a, kind, _residual=linalg.residual):
@@ -613,7 +614,9 @@ class TestCorrectMeasurementChecksOnce:
 
         monkeypatch.setattr(linalg, "residual", recording)
         complex_correct_measurement(m, 0.1)
-        assert shapes == [(5, 5)]  # decompose_unitary's check of the dilation
+        assert shapes == []  # its own completion is unitary by construction
+        complex_correct_measurement(m, 0.1, dilation=dilation)
+        assert shapes == [(5, 5)]  # decompose_unitary's check of a passed dilation
 
 
 class TestDilationBlocks:

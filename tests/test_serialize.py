@@ -429,6 +429,53 @@ class TestStreamedTrajectory:
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _sparse_snapshot(sites, live, time):
+    """A snapshot of `sites` rows, all +0.0 except those at the sites in
+    `live`, which take -0.0, NaN and ordinary values in turn."""
+    parts = np.zeros((4, sites), dtype=complex)
+    values = [complex(-0.0, 0.0), complex(np.nan, 1.0), complex(0.25, -3e-300),
+              complex(0.0, -0.0)]
+    for i, x in enumerate(sorted(x for x in live if x < sites)):
+        parts[i % 4, x] = values[i % len(values)]
+    return WalkState(DCVector(parts[0], parts[1]), DCVector(parts[2], parts[3]), time=time)
+
+
+class TestPiecesOfAThousandRows:
+    """The writer cuts each snapshot into pieces of 1000 rows, whose rows
+    share the head t_step + ",k"; it writes the bytes of the reference
+    writer on either side of every decade and piece boundary."""
+
+    LIVE = (0, 1, 998, 999, 1000, 1001, 1999, 2000, 9999, 10000, 10001, 99999, 100000)
+
+    @pytest.mark.parametrize("sites", [999, 1000, 1001, 10000, 10001, 100001])
+    def test_bytes_match_the_reference(self, tmp_path, sites):
+        snaps = [_sparse_snapshot(sites, self.LIVE + (sites - 1,), 0),
+                 _sparse_snapshot(sites, (sites - 1,), 123),
+                 _sparse_snapshot(sites, (), 4567)]
+        write_trajectory_csv(snaps, str(tmp_path / "traj.csv"))
+        _write_reference_csv(snaps, tmp_path / "ref.csv")
+        data = (tmp_path / "traj.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        lines = data.split(b"\r\n")
+        dark = [x for x in range(sites) if lines[1 + x].endswith(b",0.0" * 8)]
+        assert sites - len(dark) == len({x for x in self.LIVE + (sites - 1,) if x < sites})
+        assert b",-0.0," in data and b",nan," in data
+
+    def test_tables_do_not_grow_with_the_lattice(self, tmp_path):
+        """Writing two snapshots of 65536 sites holds two 1000-entry
+        tables, not one dark row per site (about 6 MiB at 65536 sites)."""
+        snaps = list(run(point_source(65536), 0.5, 1))
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(snaps, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert path.stat().st_size > 2 * 65536 * 40
+
+
 def _trajectory_lines(tmp_path):
     """Header, then rows (t, x) = (0, 0..3), (1, 0..3), (2, 0..3)."""
     path = tmp_path / "traj.csv"
