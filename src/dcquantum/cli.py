@@ -108,8 +108,8 @@ def _check_spectrum(m: DCMatrix, atol: float, delta: float):
         except NotUnitary:  # the Hermitian residual raises NonSquare on a state
             return False, min(residual(m, OperatorKind.HERMITIAN),
                               residual(m, OperatorKind.UNITARY))
-    rebuilt = spec.reconstruct()
-    worst = _relative_defect(rebuilt.sig - m.sig, rebuilt.inf - m.inf, (m,))
+    d = spec.reconstruct() - m
+    worst = _relative_defect(d.sig, d.inf, (m,))
     return worst <= atol, worst
 
 
@@ -194,7 +194,12 @@ def _extend_from_family(data):
             if m.shape[1] != zero[0].shape[1]:  # an at_zero slot: one column count
                 raise MalformedShape(f"{key}[{i}]: expected {zero[0].shape[1]} columns "
                                      f"like at_zero[0], got {m.shape[1]}")
-    families = [sampled_family(*slot, float(step)) for slot in zip(*sampled)]
+    families = []
+    for i, slot in enumerate(zip(*sampled)):
+        try:
+            families.append(sampled_family(*slot, float(step)))
+        except MalformedInput as e:
+            raise MalformedInput(f"at_plus[{i}] - at_minus[{i}]: {e}") from None
     if len(families) == 1:
         return serialize.unitary_to_json(dc_extend_unitary(families[0]))
     return serialize.measurement_to_json(
@@ -242,7 +247,7 @@ def cmd_convergence(args) -> int:
     _require(math.isfinite(args.mass), "--mass must be finite")
     if args.walk:
         _require(min(args.sites) >= 1, "--sites must be >= 1")
-        _require(math.isfinite(args.wavenumber), "--wavenumber must be finite")
+        _require(args.wavenumber.is_integer(), "--wavenumber must be an integer")
         results = []
         for n in args.sites:
             err, h, t_end = walk_vs_continuum_error(n, k=args.wavenumber, m=args.mass)

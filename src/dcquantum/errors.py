@@ -81,8 +81,8 @@ class MalformedTrajectory(DCError):
 class MalformedInput(DCError):
     """JSON input that does not follow the documented format: a missing
     key, a scalar that is not four numbers, a non-number or non-finite
-    entry, a file of the wrong kind.  The message names the offending
-    key or entry, or the kind the command expects."""
+    entry or central difference, a file of the wrong kind.  The message
+    names the offending key or entry, or the kind the command expects."""
 
 
 class MalformedShape(MalformedInput, DimMismatch):

@@ -66,6 +66,10 @@ class _DualArray:
         v._own(sig, inf)
         return v
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which copies and freezes
+        return type(self), (self.sig, self.inf)
+
     def __getitem__(self, index) -> DualComplex:
         return DualComplex(self.sig[index], self.inf[index])
 
@@ -85,7 +89,6 @@ class _DualArray:
         return type(self)._owning(w * self.sig, w * self.inf)
 
 
-@dataclass(frozen=True)
 class DCVector(_DualArray):
     """Dense vector over DualComplex: v = sig + eps*inf."""
 
@@ -105,7 +108,6 @@ class DCVector(_DualArray):
         return DCVector(e)
 
 
-@dataclass(frozen=True)
 class DCMatrix(_DualArray):
     """Dense matrix over DualComplex: M = sig + eps*inf."""
 
@@ -155,26 +157,24 @@ class OperatorKind(enum.Enum):
 class DualSpectrum:
     """Eigenpairs of a dual-complex Hermitian or unitary operator.
 
-    ``values`` holds the eigenvalues in order; ``basis_sig``/``basis_inf``
-    hold the eigenvectors column-wise, the j-th eigenvector being
-    basis_sig[:, j] + eps * basis_inf[:, j].
+    ``values`` holds the eigenvalues in order and ``basis`` the
+    eigenvectors column-wise, the j-th eigenvector being its column j.
     """
 
     values: DCVector
-    basis_sig: np.ndarray
-    basis_inf: np.ndarray
+    basis: DCMatrix
     kind: str  # "hermitian" or "unitary"
 
     @property
     def dim(self) -> int:
-        return self.basis_sig.shape[0]
+        return self.basis.rows
 
     def vector(self, j: int) -> DCVector:
-        return DCVector(self.basis_sig[:, j], self.basis_inf[:, j])
+        return DCVector(self.basis.sig[:, j], self.basis.inf[:, j])
 
     def reconstruct(self) -> DCMatrix:
         """P diag(values) P^dag carried out in dual arithmetic."""
-        p = DCMatrix(self.basis_sig, self.basis_inf)
+        p = self.basis
         return DCMatrix._owning(*_leibniz(np.multiply, p, self.values)) @ p.adjoint()
 
 
@@ -419,8 +419,8 @@ def _first_order_spectrum(kind: str, x: np.ndarray, p: np.ndarray, j: np.ndarray
     p1 = p @ _across_clusters(ids, rate * h, x[None, :] - x[:, None])
     mu = np.real(np.diag(h))
     order = np.lexsort((mu, np.angle(x) if unitary else x))
-    return DualSpectrum(DCVector(x[order], (rate * mu)[order]), p[:, order], p1[:, order],
-                        kind=kind)
+    return DualSpectrum(DCVector(x[order], (rate * mu)[order]),
+                        DCMatrix._owning(p[:, order], p1[:, order]), kind)
 
 
 def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
@@ -462,7 +462,7 @@ def log_unitary(u_eps: DCMatrix) -> DCMatrix:
     lam, lam1 = spec.values.sig, spec.values.inf
     # eigenvalue lam + eps i lam mu  =>  mu = Im(lam1 / lam)
     logs = DCVector(1j * np.angle(lam), 1j * (lam1 / lam).imag)
-    return DualSpectrum(logs, spec.basis_sig, spec.basis_inf, spec.kind).reconstruct()
+    return DualSpectrum(logs, spec.basis, spec.kind).reconstruct()
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ def check_appreciably_semipositive(e: DCMatrix, tau: float = TAU) -> Semipositiv
     violation = np.where(ok, 0.0, np.maximum(-a, np.where(zero, np.abs(b), 0.0)))
     k = int(np.argmax(violation))
     return SemipositivityReport(False, float(violation[k]), DualReal(a[k], b[k]),
-                                DCVector(spec.basis_sig[:, k]))
+                                DCVector(spec.basis.sig[:, k]))
 
 
 # ---------------------------------------------------------------------------

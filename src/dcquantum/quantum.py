@@ -18,6 +18,7 @@ from .errors import (
     DimMismatch,
     IncompleteMeasurement,
     InfinitesimalVector,
+    MalformedInput,
     NotHermitian,
     NotUnitary,
     NotUnitaryAtZero,
@@ -196,10 +197,13 @@ tensor_op = kron
 def sampled_family(at_zero, at_plus, at_minus, step: float) -> Callable:
     """The affine ring family h -> S_0 + h (S_+ - S_-) / (2 step) through
     an operator sampled at h = 0 and h = +-step: its value at EPS carries
-    the central difference as its eps-part."""
+    the central difference, which must be finite, as its eps-part."""
     s0 = DCMatrix(at_zero)
-    d = DCMatrix((np.asarray(at_plus, dtype=complex)
-                  - np.asarray(at_minus, dtype=complex)) / (2.0 * step))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = DCMatrix((np.asarray(at_plus, dtype=complex)
+                      - np.asarray(at_minus, dtype=complex)) / (2.0 * step))
+    if not np.isfinite(d.sig).all():
+        raise MalformedInput(f"the central difference at step {step!r} is not finite")
     return lambda h: s0 + d.scale(h)
 
 

@@ -112,7 +112,6 @@ class DualNumber:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
 class DualComplex(DualNumber):
     """z + t*eps with complex significant part z and infinitesimal part t."""
 
@@ -154,7 +153,6 @@ class DualComplex(DualNumber):
 EPS = DualComplex(0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
 class DualReal(DualNumber):
     """a + b*eps with real components, ordered lexicographically (eps > 0)."""
 

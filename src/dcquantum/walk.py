@@ -224,17 +224,18 @@ def continuum_residual(
     return r_plus, r_minus
 
 
-def walk_vs_continuum_error(sites: int, k: float = 1.0, m: float = 1.0,
-                            length: float = 2.0 * math.pi, t_final: float = 1.0):
-    """Relative l2 error between the corrected conventional walk and the
-    analytic plane-wave Dirac solution at physical time ~t_final; first
-    order in the lattice spacing h.
+def walk_vs_continuum_error(sites: int, k: float = 1.0, m: float = 1.0):
+    """Relative l2 error between the corrected conventional walk on the
+    periodic lattice of length 2*pi and the analytic plane-wave Dirac
+    solution at physical time ~1; first order in the lattice spacing h.
 
-    Returns (error, h, reached_time).  k*length must be a multiple of
-    2*pi for the wave to fit the periodic lattice.
+    Returns (error, h, reached_time).  The wave fits the lattice only for
+    an integer wavenumber k; any other k raises ValueError.
     """
-    h = length / sites
-    steps = max(1, round(t_final / h))
+    if not float(k).is_integer():
+        raise ValueError(f"wavenumber {k!r} does not fit the periodic lattice of length 2*pi")
+    h = 2.0 * math.pi / sites
+    steps = max(1, round(1.0 / h))
     t_end = steps * h
     psip, psim, _ = dirac_plane_wave(k, m)
     x = np.arange(sites) * h

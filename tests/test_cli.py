@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -586,6 +587,29 @@ class TestTranslateCommand:
         assert rc == 2
         assert f"error: {src}: {located}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples, step", [
+        # a small rotation sampled at +-1e-320: the difference over 2e-320 overflows
+        ([[np.diag(np.exp(1j * t * np.array([1.0, -1.0])))] for t in (0.0, 1e-320, -1e-320)],
+         1e-320),
+        # finite entries near the float limit whose difference overflows at step 1
+        ([[np.eye(2)], [np.array([[1e308, -1e308], [1e308, 1e308]])],
+          [np.array([[-1e308, 1e308], [-1e308, -1e308]])]], 1.0),
+    ], ids=["tiny-step", "huge-entries"])
+    def test_extend_rejects_a_central_difference_that_overflows(self, tmp_path, capfd,
+                                                                samples, step):
+        """An overflowing difference is a usage error naming the file, the
+        slot and the step, and no numpy warning is printed."""
+        src = _write_doc(tmp_path / "fam.json", family_doc(*samples, step))
+        dst = tmp_path / "ext.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["translate", "--extend", "--in", src, "--out", str(dst)])
+        out, err = capfd.readouterr()
+        assert rc == 2 and out == "" and caught == []
+        assert err == (f"error: {src}: at_plus[0] - at_minus[0]: the central difference "
+                       f"at step {step!r} is not finite\n")
+        assert not dst.exists()
+
     @pytest.mark.parametrize("key, i", [("at_zero", 0), ("at_plus", 1), ("at_minus", 1)])
     def test_extend_rejects_a_sample_with_an_eps_part(self, tmp_path, capsys, key, i):
         """A family file holds conventional samples: a nonzero eps-part is
@@ -740,6 +764,8 @@ _BAD_FLAGS = [
     (["translate", "--correct", "--h", "inf", "--in", "{gate}", "--out", "{out}"], "--h"),
     (["translate", "--extend", "--h", "nan", "--in", "{gate}", "--out", "{out}"], "--h"),
     (["convergence", "--walk", "--wavenumber", "nan"], "--wavenumber"),
+    (["convergence", "--walk", "--wavenumber", "0.5"], "--wavenumber"),
+    (["convergence", "--walk", "--wavenumber", "inf"], "--wavenumber"),
     (["convergence", "--mass", "nan"], "--mass"),
     (["convergence", "--walk", "--mass", "inf"], "--mass"),
     (["convergence", "--h-list", "1e-2", "0"], "--h-list"),

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -35,7 +38,9 @@ from dcquantum.linalg import (
     vnorm,
 )
 from dcquantum import linalg
+from dcquantum.quantum import normalize
 from dcquantum.scalar import DualComplex, DualReal
+from dcquantum.walk import point_source, run
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -498,6 +503,49 @@ class TestRingResultsOwnTheirArrays:
         assert m.sig[0, 0] != 7.0
 
 
+class TestCopiesStayReadOnly:
+    """copy.copy, copy.deepcopy and a pickle round trip give back ring
+    arrays whose parts are read-only and hold the same bits, alone or
+    inside a state or a walk snapshot."""
+
+    @staticmethod
+    def values(rng):
+        sig, inf = _random_parts(rng, (3, 3))
+        u = DCVector(*_random_parts(rng, (3,)))
+        yield DCMatrix(sig, inf), lambda m: [m]
+        yield u, lambda v: [v]
+        yield normalize(u), lambda s: [s.vec]
+        yield run(point_source(16), 0.4, 5)[-1], lambda w: [w.plus, w.minus]
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_parts_are_read_only_with_the_same_bits(self, rng, clone):
+        for value, arrays in self.values(rng):
+            back = clone(value)
+            assert type(back) is type(value)
+            for got, want in zip(arrays(back), arrays(value)):
+                assert type(got) is type(want)
+                assert not got.sig.flags.writeable and not got.inf.flags.writeable
+                assert _same_bits(got, want.sig, want.inf)
+                with pytest.raises(ValueError, match="read-only"):
+                    got.sig[0] = 5.0
+
+
+@pytest.mark.parametrize("value, text", [
+    (DCVector(np.array([1.0])), "DCVector(sig=array([1.+0.j]), inf=array([0.+0.j]))"),
+    (DCMatrix(np.eye(1)), "DCMatrix(sig=array([[1.+0.j]]), inf=array([[0.+0.j]]))"),
+    (DualComplex(1, 2j), "DualComplex(sig=(1+0j), inf=2j)"),
+    (DualReal(1, -2), "DualReal(sig=1.0, inf=-2.0)"),
+])
+def test_ring_types_keep_the_frozen_dataclass_contract(value, text):
+    assert repr(value) == text
+    assert [f.name for f in dataclasses.fields(value)] == ["sig", "inf"]
+    for name in ("sig", "inf"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{name}'"):
+            setattr(value, name, value.sig)
+
+
 def test_unitary_preserves_dual_norm(rng):
     for dim in (2, 4, 6):
         u_eps = random_dc_unitary(dim, rng)
@@ -581,7 +629,7 @@ def _reference_reconstruct(spec):
     """The four-term form of P diag(values) P^dag."""
     lam = np.array([v.sig for v in spec.values])
     mu = np.array([v.inf for v in spec.values])
-    p0, p1 = spec.basis_sig, spec.basis_inf
+    p0, p1 = spec.basis.sig, spec.basis.inf
     sig = (p0 * lam) @ p0.conj().T
     inf = (p0 * mu) @ p0.conj().T + (p1 * lam) @ p0.conj().T + (p0 * lam) @ p1.conj().T
     return sig, inf
@@ -604,3 +652,29 @@ class TestSpectrumInRingForm:
             items = list(spec.values)
             assert len(items) == 4 and all(type(v) is DualComplex for v in items)
             assert repr(spec.values[-1]) == repr(items[-1])
+
+    def test_basis_is_one_read_only_dual_matrix(self, rng):
+        for spec in (eig_hermitian(random_dc_hermitian(4, rng)),
+                     eig_unitary(random_dc_unitary(4, rng))):
+            assert type(spec.basis) is DCMatrix and spec.basis.shape == (4, 4)
+            assert not spec.basis.sig.flags.writeable and not spec.basis.inf.flags.writeable
+            v = spec.vector(2)
+            assert _same_bits(v, spec.basis.sig[:, 2], spec.basis.inf[:, 2])
+
+    def test_no_spectral_rebuild_copies_through_the_constructor(self, rng, monkeypatch):
+        """reconstruct builds every array it returns as a ring result, and
+        log_unitary copies no matrix: the basis is used where it lies."""
+        u_eps = random_dc_unitary(5, rng)
+        spec = eig_unitary(u_eps)
+        built = []
+        post_init = linalg._DualArray.__post_init__
+
+        def counting(self):
+            built.append(type(self))
+            post_init(self)
+
+        monkeypatch.setattr(linalg._DualArray, "__post_init__", counting)
+        spec.reconstruct()
+        assert built == []
+        linalg.log_unitary(u_eps)
+        assert DCMatrix not in built

@@ -3,6 +3,7 @@ extension/correction translation between h-parametrized conventional
 operators and dual-complex operators."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -24,6 +25,7 @@ from dcquantum.errors import (
     IncompleteFamily,
     IncompleteMeasurement,
     InfinitesimalVector,
+    MalformedInput,
     ModulusOfInfinitesimal,
     NotHermitian,
     NotUnitary,
@@ -781,6 +783,17 @@ class TestExtensionIsEvaluationAtEps:
         bits = not any(_has_negative_zero(op.sig) or _has_negative_zero(op.inf) for op in ops)
         for g, w in zip(got.operators, Measurement(tuple(ops)).operators):
             _assert_same(g, w, bits)
+
+    @pytest.mark.parametrize("plus, minus, step", [
+        (np.eye(2), -np.eye(2), 1e-320),
+        (np.full((2, 2), 1e308), np.full((2, 2), -1e308), 1.0),
+        (np.full((2, 2), np.inf), np.full((2, 2), np.inf), 1.0),
+    ], ids=["overflowing-quotient", "overflowing-difference", "inf-minus-inf"])
+    def test_a_difference_that_is_not_finite_raises(self, plus, minus, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+            with pytest.raises(MalformedInput, match=f"at step {step!r} is not finite"):
+                sampled_family(np.eye(2), plus, minus, step)
 
     def test_eps_is_the_infinitesimal_unit(self):
         assert EPS == DualComplex(0.0, 1.0) and EPS * EPS == 0

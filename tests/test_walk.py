@@ -422,6 +422,16 @@ class TestWalkConvergence:
         assert err < 0.02
         assert t_end == pytest.approx(1.0, abs=h)
 
+    @pytest.mark.parametrize("k", [0.5, -1.25, 1e-300, float("nan"), float("inf")])
+    def test_a_wave_that_does_not_fit_the_lattice_raises(self, k):
+        with pytest.raises(ValueError, match="does not fit the periodic lattice"):
+            walk_vs_continuum_error(16, k=k)
+
+    @pytest.mark.parametrize("k", [0, 2, -3.0, np.float64(4.0)])
+    def test_integer_wavenumbers_fit(self, k):
+        err, h, t_end = walk_vs_continuum_error(256, k=k)
+        assert math.isfinite(err) and h == 2.0 * math.pi / 256
+
 
 class TestLorentz:
     def test_encoding_columns(self):
