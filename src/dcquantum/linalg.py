@@ -33,10 +33,12 @@ REQUIRE_ATOL = 1e-8
 _COMPLETE_ATOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _DualArray:
     """sig + eps*inf over two equal-shape complex arrays of NDIM
-    dimensions: the ring operations vectors and matrices share."""
+    dimensions: the ring operations vectors and matrices share.  == is
+    value equality (same type and shape, equal parts, NaN unequal as for
+    floats); the arrays are mutable types, so the values are unhashable."""
 
     NDIM = 0
     sig: np.ndarray
@@ -69,6 +71,11 @@ class _DualArray:
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which copies and freezes
         return type(self), (self.sig, self.inf)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.sig, other.sig) and np.array_equal(self.inf, other.inf)
 
     def __getitem__(self, index) -> DualComplex:
         return DualComplex(self.sig[index], self.inf[index])
@@ -308,9 +315,15 @@ def mat_exp(a_eps: DCMatrix) -> DCMatrix:
     else:
         return _mat_exp_taylor(a_eps)
     e = np.exp(lam)
+    return _daleckii_krein(q, e, _exp_divided_differences(lam, e), b)
+
+
+def _daleckii_krein(q: np.ndarray, fx: np.ndarray, f: np.ndarray, b: np.ndarray) -> DCMatrix:
+    """g(A) + eps L_g(A, B) for A = Q diag(x) Q^dag, Q unitary, given
+    fx = g(x) and the divided differences F of g at x:
+    Q diag(fx) Q^dag + eps Q (F o Q^dag B Q) Q^dag.  Q is overwritten."""
     qh = q.conj().T
-    f = _exp_divided_differences(lam, e)
-    # Q (F o Q^dag B Q) Q^dag, then (Q e) Q^dag, reusing n x n buffers.
+    # Q (F o Q^dag B Q) Q^dag, then (Q fx) Q^dag, reusing n x n buffers.
     # No output aliases an input, and F o X keeps its form: numpy computes
     # it in place into the product's temporary once that is large, in the
     # operand order (X, F), and complex products are not commutative bit
@@ -319,7 +332,7 @@ def mat_exp(a_eps: DCMatrix) -> DCMatrix:
     inf = f * (t @ q)
     np.matmul(q, inf, out=t)
     np.matmul(t, qh, out=inf)
-    np.matmul(np.multiply(q, e, out=t), qh, out=q)
+    np.matmul(np.multiply(q, fx, out=t), qh, out=q)
     return DCMatrix._owning(q, inf)
 
 
@@ -456,13 +469,19 @@ def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
 
 
 def log_unitary(u_eps: DCMatrix) -> DCMatrix:
-    """Anti-Hermitian logarithm sum_j (i theta_j + i mu_j eps)|j><j| with
-    principal phases theta_j in (-pi, pi]; mat_exp inverts it."""
-    spec = eig_unitary(u_eps)
-    lam, lam1 = spec.values.sig, spec.values.inf
-    # eigenvalue lam + eps i lam mu  =>  mu = Im(lam1 / lam)
-    logs = DCVector(1j * np.angle(lam), 1j * (lam1 / lam).imag)
-    return DualSpectrum(logs, spec.basis, spec.kind).reconstruct()
+    """Anti-Hermitian logarithm of U + eps D: log U = sum_j i theta_j
+    |j><j| with principal phases theta_j in (-pi, pi], and its Frechet
+    derivative along D in Daleckii-Krein form, whose divided differences
+    of log at lam_j = e^(i theta_j) are (x / sin x) e^(-i (theta_i +
+    theta_j) / 2) with x = (theta_i - theta_j) / 2, and 1 / lam_i where
+    x = 0: no first-order eigenvector correction, so no division by a
+    gap.  mat_exp inverts it."""
+    u, _ = decompose_unitary(u_eps)
+    lam, q = _unitary_eigenbasis(u, CLUSTER_DELTA)
+    theta = np.angle(lam)
+    x = 0.5 * (theta[:, None] - theta[None, :])
+    f = np.exp(-0.5j * (theta[:, None] + theta[None, :])) / np.sinc(x / np.pi)
+    return _daleckii_krein(q, 1j * theta, f, u_eps.inf)
 
 
 # ---------------------------------------------------------------------------

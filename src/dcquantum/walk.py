@@ -76,13 +76,6 @@ def step(w: WalkState, m: float) -> WalkState:
     return run(w, m, 1)[-1]
 
 
-def _rotate(dst: np.ndarray, src: np.ndarray, shift: int) -> None:
-    """dst = np.roll(src, shift), as two slice copies."""
-    n = len(src)
-    k = shift % max(n, 1)
-    dst[k:], dst[:k] = src[:n - k], src[n - k:]
-
-
 def run(w: WalkState, m: float, steps: int, record_every: int = 1) -> Trajectory:
     """The walk of `steps` steps from w, recorded every `record_every`
     steps and at the last: a Trajectory, walked in closed form each time
@@ -123,34 +116,61 @@ class Trajectory:
         only their support is kept (`_support`): the span from the first
         to the last product that can change a bit of the accumulator, so
         the NaN an infinite mass makes of a zero counts, and a -0
-        component counts while the accumulator holds a -0.0.  A step
-        subtracts that span from the window it lands on, in two slices
+        component counts while the accumulator holds a -0.0.  For a
+        finite mass and an accumulator without a -0.0 a zero sig makes a
+        product that changes nothing, so the products are formed only
+        over sig0's arc (`_arc`); otherwise over the whole ring.  A step
+        subtracts the span from the window it lands on, in two slices
         when the window wraps, so it costs O(support), not O(n).  The
         products left out change no bit, so every component keeps the
         operands and order of the stepping recurrence inf - (1j*m)*sig:
         every bit but a NaN's sign is the recurrence's, signed zeros
-        included.  Snapshots are fresh (4, n) blocks, owned read-only."""
+        included.
+
+        Only the light cone is written.  Each accumulator starts as
+        zeros holding the arc of its initial eps-part, and each snapshot
+        is a fresh zeroed (4, n) block, owned read-only, into which only
+        the arcs that can hold a set bit are copied: a sig-part's arc
+        carried t sites, and an accumulator's initial arc and the arc of
+        the windows its fold has swept.  Elsewhere both hold +0+0j, and
+        fresh zeroed pages that are never written cost no memory."""
         w, m, steps = self.initial, self.m, self.steps
         yield w
         n, ring = w.sites, max(w.sites, 1)
-        plus_inf, minus_inf = w.plus.inf.copy(), w.minus.inf.copy()
-        # (accumulator, direction, first index of the span, the span)
-        folds = [(plus_inf, -1, *_support(np.multiply(1j * m, w.minus.sig), plus_inf)),
-                 (minus_inf, 1, *_support(np.multiply(1j * m, w.plus.sig), minus_inf))]
-        folds = [f for f in folds if len(f[3])]  # an empty span does no work
+        plus_arc, minus_arc = _arc(w.plus.sig), _arc(w.minus.sig)
+        # per mover: (its direction, sig0, sig0's arc, eps accumulator, the
+        # accumulator's initial arc, first index of the span, the span)
+        movers = []
+        for sign, mover, arc, other, (lo, length) in ((1, w.plus, plus_arc, w.minus, minus_arc),
+                                                      (-1, w.minus, minus_arc, w.plus, plus_arc)):
+            start, count = _arc(mover.inf)
+            acc = np.zeros(n, dtype=complex)
+            acc[start:start + count] = mover.inf[start:start + count]
+            signed = bool((acc[start:start + count].view(np.uint64) == _NEGATIVE_ZERO).any())
+            if signed or not math.isfinite(m):  # a zero sig can change a bit
+                lo, length = 0, n
+            first, span = _support(np.multiply(1j * m, other.sig[lo:lo + length]), signed)
+            movers.append((sign, mover.sig, arc, acc, (start, count), lo + first, span))
         for t in range(1, steps + 1):
-            for acc, direction, lo, span in folds:
-                start = (lo + direction * (2 * t - 2)) % ring
+            for sign, _, _, acc, _, lo, span in movers:
+                if not len(span):  # an empty span does no work
+                    continue
+                start = (lo - sign * (2 * t - 2)) % ring
                 head = acc[start:start + len(span)]  # up to the end of the ring
                 np.subtract(head, span[:len(head)], out=head)
                 if len(head) < len(span):  # the window wraps round the ring
                     tail = acc[:len(span) - len(head)]
                     np.subtract(tail, span[len(head):], out=tail)
             if t % self.record_every == 0 or t == steps:
-                block = np.empty((4, n), dtype=complex)
-                for dst, src, shift in zip(block, (w.plus.sig, plus_inf, w.minus.sig, minus_inf),
-                                           (t, t, -t, -t)):
-                    _rotate(dst, src, shift)
+                block = np.zeros((4, n), dtype=complex)
+                for mover, rows in zip(movers, (block[:2], block[2:])):
+                    sign, sig, arc, acc, acc_arc, lo, span = mover
+                    _copy_arc(rows[0], sig, arc, sign * t)
+                    _copy_arc(rows[1], acc, acc_arc, sign * t)
+                    if len(span):  # the windows of steps 1..t make one arc
+                        swept = ((lo - (sign > 0) * (2 * t - 2)) % ring,
+                                 min(len(span) + 2 * t - 2, ring))
+                        _copy_arc(rows[1], acc, swept, sign * t)
                 yield WalkState(DCVector._owning(block[0], block[1]),
                                 DCVector._owning(block[2], block[3]), time=w.time + t)
 
@@ -158,17 +178,40 @@ class Trajectory:
 _NEGATIVE_ZERO = np.uint64(1 << 63)  # the bits of -0.0
 
 
-def _support(products: np.ndarray, acc: np.ndarray):
+def _arc(a: np.ndarray):
+    """(start, length) of the span from the first to the last entry of a
+    with a set bit, -0.0 and NaN included; (0, 0) when there is none."""
+    live = np.flatnonzero(a.view(np.uint64)) // 2
+    if not len(live):
+        return 0, 0
+    return int(live[0]), int(live[-1] - live[0] + 1)
+
+
+def _copy_arc(dst: np.ndarray, src: np.ndarray, arc, shift: int) -> None:
+    """dst[(x + shift) % n] = src[x] for the sites x of the arc (start,
+    length) round the ring: at most three slice copies, as either side
+    may wrap."""
+    n = len(src)
+    start, length = arc
+    to = (start + shift) % max(n, 1)
+    while length:
+        k = min(length, n - start, n - to)
+        dst[to:to + k] = src[start:start + k]
+        start, to, length = (start + k) % n, (to + k) % n, length - k
+
+
+def _support(products: np.ndarray, signed: bool):
     """(lo, a copy of products[lo:hi]) for the span from the first to
-    the last product whose subtraction can change a bit of acc; (0,
-    empty) when there is none.
+    the last product whose subtraction can change a bit of an
+    accumulator, which holds a -0.0 iff `signed`; (0, empty) when there
+    is none.
 
     Subtracting +0 changes no bit of a double, and subtracting -0 changes
     only a -0.0 (to +0.0).  A difference is -0.0 only as -0.0 - (+0.0),
     so an accumulator that starts without a -0.0 component never gets
     one, and then a product whose components are both zero, of either
     sign, changes nothing."""
-    if (acc.view(np.uint64) == _NEGATIVE_ZERO).any():
+    if signed:
         live = np.flatnonzero(products.view(np.uint64)) // 2  # every set bit
     else:
         live = np.flatnonzero(products)  # by value: -0 is zero, NaN is not

@@ -38,7 +38,7 @@ from dcquantum.linalg import (
     vnorm,
 )
 from dcquantum import linalg
-from dcquantum.quantum import normalize
+from dcquantum.quantum import Measurement, normalize
 from dcquantum.scalar import DualComplex, DualReal
 from dcquantum.walk import point_source, run
 
@@ -544,6 +544,49 @@ def test_ring_types_keep_the_frozen_dataclass_contract(value, text):
     for name in ("sig", "inf"):
         with pytest.raises(dataclasses.FrozenInstanceError, match=f"field '{name}'"):
             setattr(value, name, value.sig)
+
+
+class TestValueEquality:
+    """== on ring arrays is value equality: same type, same shape, equal
+    parts, NaN unequal as for floats; the types stay unhashable."""
+
+    def test_equal_vectors_of_several_entries(self):
+        assert DCVector(np.ones(2)) == DCVector(np.ones(2))
+        assert not DCVector(np.ones(2)) != DCVector(np.ones(2))
+
+    def test_each_part_and_the_shape_count(self):
+        v = DCVector(np.ones(2), np.zeros(2))
+        assert v != DCVector(np.ones(2), np.array([0.0, 1e-300]))
+        assert v != DCVector(np.array([1.0, 1.0 + 1e-15]), np.zeros(2))
+        assert v != DCVector(np.ones(3))
+        assert DCMatrix(np.eye(2)) != DCMatrix(np.eye(3))
+        assert DCMatrix(np.ones((1, 2))) != DCMatrix(np.ones((2, 1)))
+
+    def test_types_count(self):
+        assert DCVector(np.ones(1)) != DCMatrix(np.ones((1, 1)))
+        assert DCVector(np.ones(1)) != 1
+        assert DCVector(np.ones(2)) != (np.ones(2), np.zeros(2))
+
+    def test_signed_zeros_equal_and_nan_unequal(self):
+        assert DCVector(np.array([0.0]), np.array([-0.0])) == DCVector(np.zeros(1))
+        nan = DCVector(np.array([np.nan, 1.0]))
+        assert nan != nan
+
+    def test_values_that_hold_ring_arrays(self, rng):
+        u = DCVector(*_random_parts(rng, (3,)))
+        assert normalize(u) == normalize(u)
+        assert run(point_source(16), 0.4, 5)[-1] == run(point_source(16), 0.4, 5)[-1]
+        assert run(point_source(16), 0.4, 5)[-1] != run(point_source(16), -0.4, 5)[-1]
+        m = random_dc_unitary(3, rng)
+        assert eig_unitary(m) == eig_unitary(m)
+        ops = (DCMatrix(0.6 * np.eye(2)), DCMatrix(0.8 * np.eye(2)))
+        assert Measurement(ops) == Measurement(ops)
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(DCVector(np.ones(2)))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(DCMatrix(np.eye(2)))
 
 
 def test_unitary_preserves_dual_norm(rng):

@@ -219,15 +219,13 @@ class TestLogUnitaryAgainstBlockLogm:
         theta[1:3] = theta[0]
         self.check(*_unitary_with_phases(theta, rng))
 
-    # Outside that domain the ring loses digits that logm keeps.
-    @pytest.mark.xfail(strict=True, reason="the eps-part comes from first-order eigenvector "
-                       "corrections, whose rounding grows like u / gap^2 (u the unit "
-                       "roundoff) for two phases close but not clustered: 3e-7 relative "
-                       "at a gap of 1e-5")
     def test_close_phases(self):
+        """Two phases 1e-5 apart, close but not clustered: the eps-part's
+        divided differences hold no gap in a denominator."""
         rng = np.random.default_rng(3)
         self.check(*_unitary_with_phases(np.array([1.0, 1.0 + 1e-5, 2.5, -0.2]), rng))
 
+    # Outside that domain the ring loses digits that logm keeps.
     @pytest.mark.xfail(strict=True, reason="the eigenbasis of U comes from U + U^dag, whose "
                        "eigenvalues 2 cos(theta) nearly coincide when one phase is near "
                        "another's mirror image: 1e-11 relative at 1e-5 from it")

@@ -326,12 +326,34 @@ def _sparse_walks(draw):
     return tuple(parts), draw(_MASSES), steps, draw(st.integers(1, 7))
 
 
+def _fields(sites, entries):
+    """The four parts on `sites` sites, +0 except the {site: value} of entries."""
+    parts = np.zeros((4, sites), dtype=complex)
+    for part, values in zip(parts, entries):
+        for x, value in values.items():
+            part[x] = value
+    return tuple(parts)
+
+
 class TestSparseSupport:
     """The fold subtracts only the span of products that are not +0+0j."""
 
     @given(walk=_sparse_walks())
     @example(walk=((np.array([1.0, 0, 0, 0, 2.0], complex),) + (np.zeros(5, complex),) * 3,
                    0.7, 15, 1))
+    # eps-parts whose arcs are disjoint from each other and from the sig-parts'
+    @example(walk=(_fields(40, ({5: 1.0, 7: -0.5j}, {25: 0.25, 28: 2j}, {}, {33: -1.0})),
+                   0.7, 30, 1))
+    @example(walk=(_fields(40, ({5: 1.0, 7: -0.5j}, {25: 0.25, 28: 2j}, {}, {33: -1.0})),
+                   -0.7, 6, 2))
+    # arcs that straddle the end of the ring: movers starting next to it
+    @example(walk=(_fields(32, ({30: 1.0, 31: 0.5}, {29: 1j}, {0: -0.3, 1: 0.8j}, {2: 0.1})),
+                   0.6, 9, 1))
+    @example(walk=(_fields(32, ({31: 1.0}, {}, {0: 1j}, {})), -1.1, 20, 3))
+    # light cones wider than the ring
+    @example(walk=(_fields(12, ({6: 1.0}, {}, {}, {})), 0.6, 40, 1))
+    @example(walk=(_fields(12, ({3: 1.0, 4: 0.5j}, {9: 0.3}, {7: -1.0}, {0: 2.0, 11: 1j})),
+                   -0.4, 41, 4))
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_roll_recurrence(self, walk):
         _assert_walks_as_recurrence(*walk)
@@ -353,6 +375,32 @@ class TestSparseSupport:
                       DCVector(np.zeros(n)))
         *_, last = run(w, -0.7, 9)
         assert last.plus.inf.tobytes() == np.full(n, complex(-0.0, 0.0)).tobytes()
+
+    @pytest.mark.parametrize("sites, entries, m, whole", [
+        (24, ({3: 1.0}, {}, {10: 0.5j}, {}), math.inf, True),
+        (24, ({3: 1.0}, {}, {10: 0.5j}, {}), -math.inf, True),
+        (24, ({3: 1.0}, {}, {10: 0.5j}, {}), math.nan, True),
+        # psi+.inf holds -0.0 far from psi-.sig's arc: zero products reach it
+        (24, ({3: 1.0}, {17: complex(-0.0, -0.0)}, {10: 0.5j}, {}), -0.7, True),
+        (24, ({3: 1.0}, {17: complex(-0.0, -0.0)}, {10: 0.5j}, {}), 0.7, True),
+        (24, ({3: 1.0}, {17: 0.5}, {10: 0.5j}, {}), -0.7, False),
+    ], ids=["inf", "-inf", "nan", "negative-zero-eps", "negative-zero-eps-positive-mass",
+            "finite"])
+    def test_whole_ring_products_exactly_when_a_zero_can_change_a_bit(
+            self, sites, entries, m, whole, monkeypatch):
+        """An infinite or NaN mass makes NaN of a zero sig, and a zero
+        product changes an accumulator that holds -0.0: then psi+'s
+        products span the ring; otherwise only psi-.sig's arc."""
+        products = []
+        support = walk_module._support
+
+        def recording(p, signed):
+            products.append(len(p))
+            return support(p, signed)
+
+        monkeypatch.setattr(walk_module, "_support", recording)
+        _assert_walks_as_recurrence(_fields(sites, entries), m, 2 * sites + 5, 1)
+        assert products[0] == (sites if whole else 1)
 
     @pytest.mark.parametrize("m", [0.6, -0.6, 0.0, -0.0])
     def test_point_source_folds_one_site(self, m, monkeypatch):
