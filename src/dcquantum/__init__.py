@@ -23,23 +23,25 @@ from .scalar import (
     sqrt_s,
 )
 from .linalg import (
-    CLUSTER_DELTA,
     DCMatrix,
     DCVector,
-    DualSpectrum,
     OperatorKind,
-    check_appreciably_semipositive,
     classify_op,
     decompose_unitary,
-    eig_hermitian,
-    eig_unitary,
     inner,
     is_hermitian,
     is_unitary,
-    log_unitary,
     mat_exp,
     stinespring,
     vnorm,
+)
+from .spectral import (
+    CLUSTER_DELTA,
+    DualSpectrum,
+    check_appreciably_semipositive,
+    eig_hermitian,
+    eig_unitary,
+    log_unitary,
 )
 from .quantum import (
     Measurement,

@@ -17,16 +17,7 @@ import numpy as np
 
 from . import scalar, serialize
 from .errors import DCError, MalformedInput, MalformedShape, NotHermitian, NotUnitary
-from .linalg import (
-    CLUSTER_DELTA,
-    DCMatrix,
-    check_appreciably_semipositive,
-    eig_hermitian,
-    eig_unitary,
-    OperatorKind,
-    _relative_defect,
-    residual,
-)
+from .linalg import DCMatrix, OperatorKind, _relative_defect, residual
 from .quantum import (
     Measurement,
     complex_correct_measurement,
@@ -35,6 +26,7 @@ from .quantum import (
     dc_extend_unitary,
     sampled_family,
 )
+from .spectral import CLUSTER_DELTA, check_appreciably_semipositive, eig_hermitian, eig_unitary
 from .walk import (
     covariance_check,
     dirac_gate,

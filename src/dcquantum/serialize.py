@@ -190,6 +190,9 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's s
 # Rows formatted at once, which bounds the strings alive; a power of ten,
 # so the sites of a CSV piece share all but their last three digits.
 _ROWS_PER_PIECE = 1000
+# Live CSV rows formatted at once: their eight float columns are Python
+# floats while formatted, so this bounds them at 1000 rather than 8000.
+_LIVE_ROWS_PER_BLOCK = 125
 
 
 def _frame(value, blocks: list, indent: int = 0):
@@ -268,7 +271,8 @@ def write_trajectory_csv(snapshots, path: str) -> WalkState | None:
 
     Only live rows, those with a set bit (-0.0 and NaN included), are
     formatted: the bitwise OR of the four parts' 64-bit words finds
-    them, and only they are gathered into an (rows, 4) block.  Every
+    them, and only they are gathered, `_LIVE_ROWS_PER_BLOCK` at a time,
+    into a (rows, 4) block and formatted.  Every
     other row is t_step followed by
     ",x,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0".  Outside a point source's
     light cone almost every row is such a dark row, and its repr could
@@ -300,13 +304,15 @@ def write_trajectory_csv(snapshots, path: str) -> WalkState | None:
                 k = start // _ROWS_PER_PIECE
                 head = f"{t},{k}" if k else t
                 piece = (later if k else first)[:stop - start]
-                at = live + start
-                parts = np.stack([a[at] for a in arrays], 1)
-                columns = map(map, repeat(repr), parts.view(float).T.tolist())
-                rows = map(",".join, zip(repeat(""), map(str, at.tolist()), *columns))
                 cut = len(head) - len(t)
-                for i, row in zip(live.tolist(), rows):
-                    piece[i] = row[cut:]
+                for b in range(0, len(live), _LIVE_ROWS_PER_BLOCK):
+                    block = live[b:b + _LIVE_ROWS_PER_BLOCK]
+                    at = block + start
+                    parts = np.stack([a[at] for a in arrays], 1)
+                    columns = map(map, repeat(repr), parts.view(float).T.tolist())
+                    rows = map(",".join, zip(repeat(""), map(str, at.tolist()), *columns))
+                    for i, row in zip(block.tolist(), rows):
+                        piece[i] = row[cut:]
                 f.writelines((head, ("\r\n" + head).join(piece), "\r\n"))
     return snap
 

@@ -1,0 +1,215 @@
+"""Spectral closed forms over the dual-complex ring.
+
+First-order eigenpairs of Hermitian and unitary dual operators (eigenvalue
+and eigenvector corrections from the sig-part's spectrum, degenerate
+clusters diagonalized by the eps-part), the anti-Hermitian logarithm of a
+dual unitary, and the appreciable-semipositivity check.  The ring itself,
+and the Daleckii-Krein assembly shared with `mat_exp`, live in `linalg`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import NonSquare, NotHermitian
+from .linalg import (
+    REQUIRE_ATOL,
+    DCMatrix,
+    DCVector,
+    _daleckii_krein,
+    decompose_unitary,
+    is_hermitian,
+)
+from .scalar import TAU, DualReal, _leibniz
+
+#: Eigenvalue clustering threshold for degenerate-subspace detection.
+CLUSTER_DELTA = 1e-8
+
+
+@dataclass(frozen=True)
+class DualSpectrum:
+    """Eigenpairs of a dual-complex Hermitian or unitary operator.
+
+    ``values`` holds the eigenvalues in order and ``basis`` the
+    eigenvectors column-wise, the j-th eigenvector being its column j.
+    """
+
+    values: DCVector
+    basis: DCMatrix
+    kind: str  # "hermitian" or "unitary"
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
+
+    def vector(self, j: int) -> DCVector:
+        return DCVector(self.basis.sig[:, j], self.basis.inf[:, j])
+
+    def reconstruct(self) -> DCMatrix:
+        """P diag(values) P^dag carried out in dual arithmetic."""
+        p = self.basis
+        return DCMatrix._owning(*_leibniz(np.multiply, p, self.values)) @ p.adjoint()
+
+
+# ---------------------------------------------------------------------------
+# Spectral decompositions
+# ---------------------------------------------------------------------------
+
+
+def _cluster_ids(values: np.ndarray, delta: float) -> np.ndarray:
+    """Cluster index of each entry of a 1-d array: the transitive closure
+    of |v_i - v_j| <= delta, which does not depend on the input order.
+
+    Real values are sorted and split where consecutive ones lie more
+    than delta apart.  Complex values are unitary eigenvalues: they are
+    sorted by angle, and the first and last clusters merge when the
+    circle closes within delta."""
+    values = np.asarray(values)
+    circle = np.iscomplexobj(values)
+    order = np.argsort(np.angle(values) if circle else values, kind="stable")
+    ranked = values[order]
+    sorted_ids = np.concatenate([[0], np.cumsum(np.abs(np.diff(ranked)) > delta)])
+    if circle and sorted_ids[-1] > 0 and abs(ranked[-1] - ranked[0]) <= delta:
+        sorted_ids[sorted_ids == sorted_ids[-1]] = 0
+    ids = np.empty(len(values), dtype=int)
+    ids[order] = sorted_ids
+    return ids
+
+
+def _diagonalize_in_clusters(p: np.ndarray, values: np.ndarray, j: np.ndarray, delta: float):
+    """Within each degenerate cluster of `values`, rotate the columns of p
+    so that the projected block of the Hermitian perturbation j becomes
+    diagonal.  Returns the rotated basis and the cluster ids."""
+    ids = _cluster_ids(values, delta)
+    labels, counts = np.unique(ids, return_counts=True)
+    p = p.copy()
+    for label in labels[counts > 1]:
+        c = np.flatnonzero(ids == label)
+        b = p[:, c]
+        jb = b.conj().T @ j @ b
+        jb = 0.5 * (jb + jb.conj().T)
+        _, w = np.linalg.eigh(jb)
+        p[:, c] = b @ w
+    return p, ids
+
+
+def _across_clusters(ids: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den between eigenvectors of different clusters, 0 within."""
+    same = ids[:, None] == ids[None, :]
+    return np.where(same, 0.0, num / np.where(same, 1.0, den))
+
+
+def _first_order_spectrum(kind: str, x: np.ndarray, p: np.ndarray, j: np.ndarray,
+                          delta: float) -> DualSpectrum:
+    """Eigenpairs of a Hermitian H + eps j or a unitary (I + i eps j) U,
+    as `kind` says, whose sig-part has eigenvalues x on the orthonormal
+    columns of p; x_k moves at rate_k along the Hermitian j, 1 for H and
+    i x_k for U (Kato, ch. II).  Rotating each degenerate cluster (within
+    delta) to diagonalize its block of h = p^dag j p fixes the basis;
+    <m|k1> = rate_k h_mk / (x_k - x_m) across clusters, 0 within, and the
+    eigenvalues x_k + eps rate_k h_kk are ordered by value (H) or phase
+    (U), then by h_kk."""
+    unitary = kind == "unitary"
+    rate = 1j * x if unitary else 1
+    p, ids = _diagonalize_in_clusters(p, x, j, delta)
+    h = p.conj().T @ j @ p
+    p1 = p @ _across_clusters(ids, rate * h, x[None, :] - x[:, None])
+    mu = np.real(np.diag(h))
+    order = np.lexsort((mu, np.angle(x) if unitary else x))
+    return DualSpectrum(DCVector(x[order], (rate * mu)[order]),
+                        DCMatrix._owning(p[:, order], p1[:, order]), kind)
+
+
+def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
+    """Dual eigendecomposition of H + eps J, both parts Hermitian:
+    eigenvalues theta_k + eps <k|J|k>."""
+    if not is_hermitian(h_eps, REQUIRE_ATOL):
+        raise NotHermitian("eig_hermitian requires a Hermitian dual-complex matrix")
+    theta, p = np.linalg.eigh(h_eps.sig)
+    return _first_order_spectrum("hermitian", theta, p, h_eps.inf, delta)
+
+
+def _unitary_eigenbasis(u: np.ndarray, delta: float):
+    """Orthonormal eigenbasis of a complex unitary via joint
+    diagonalization of the commuting Hermitians U + U^dag and
+    -i(U - U^dag); robust for degenerate eigenvalues."""
+    k = u + u.conj().T
+    _, q = np.linalg.eigh(k)
+    w = np.real(np.diag(q.conj().T @ k @ q))
+    l = -1j * (u - u.conj().T)
+    q, _ = _diagonalize_in_clusters(q, w, l, delta)
+    lam = np.diag(q.conj().T @ u @ q)
+    # project numerical eigenvalues back onto the unit circle
+    lam = lam / np.abs(lam)
+    return lam, q
+
+
+def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
+    """Dual eigendecomposition of a dual-complex unitary
+    U_eps = (I + i eps J) U: eigenvalues lam_k (1 + i eps <k|J|k>)."""
+    u, j = decompose_unitary(u_eps)
+    lam, p = _unitary_eigenbasis(u, delta)
+    return _first_order_spectrum("unitary", lam, p, j, delta)
+
+
+def log_unitary(u_eps: DCMatrix) -> DCMatrix:
+    """Anti-Hermitian logarithm of U + eps D: log U = sum_j i theta_j
+    |j><j| with principal phases theta_j in (-pi, pi], and its Frechet
+    derivative along D in Daleckii-Krein form, whose divided differences
+    of log at lam_j = e^(i theta_j) are (x / sin x) e^(-i (theta_i +
+    theta_j) / 2) with x = (theta_i - theta_j) / 2, and 1 / lam_i where
+    x = 0: no first-order eigenvector correction, so no division by a
+    gap.  mat_exp inverts it."""
+    u, _ = decompose_unitary(u_eps)
+    lam, q = _unitary_eigenbasis(u, CLUSTER_DELTA)
+    theta = np.angle(lam)
+    x = 0.5 * (theta[:, None] - theta[None, :])
+    f = np.exp(-0.5j * (theta[:, None] + theta[None, :])) / np.sinc(x / np.pi)
+    return _daleckii_krein(q, 1j * theta, f, u_eps.inf)
+
+
+# ---------------------------------------------------------------------------
+# Semipositivity
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SemipositivityReport:
+    """Verdict of `check_appreciably_semipositive`.  A failure on a finite
+    E names the offending dual eigenvalue of its Hermitian part and a
+    unit witness psi with Re<psi|E|psi> = that value; a non-finite E
+    fails with a NaN worst_violation."""
+
+    passed: bool
+    worst_violation: float
+    worst_value: DualReal = None
+    witness: DCVector = None
+
+
+def check_appreciably_semipositive(e: DCMatrix, tau: float = TAU) -> SemipositivityReport:
+    """Whether Re<psi|E|psi> is appreciably positive or 0 + 0eps for every
+    psi, read off the dual spectrum of H = (E + E^dag)/2: it is iff every
+    eigenvalue a + b eps of H has a > tau, or |a| <= tau and |b| <= tau.
+
+    Exact: <psi|H|psi> = sum_k lam_k |phi_k|^2 with phi = P^dag psi, a
+    |phi_k|^2 with sig-part 0 has eps-part 0, and the sig-part of the
+    k-th eigenvector attains lam_k.  Clustering at tau makes the zero
+    cluster what the cutoff calls zero; its eps-parts are the
+    eigenvalues of H's eps-part compressed to ker H_0."""
+    if e.rows != e.cols:
+        raise NonSquare("semipositivity check needs a square matrix")
+    if not (np.isfinite(e.sig).all() and np.isfinite(e.inf).all()):
+        return SemipositivityReport(False, float("nan"))
+    # exactly Hermitian, bit for bit, and no overflow for finite E
+    spec = eig_hermitian(e.scale(0.5) + e.adjoint().scale(0.5), delta=tau)
+    a, b = spec.values.sig.real, spec.values.inf.real
+    zero = np.abs(a) <= tau
+    ok = (a > tau) | (zero & (np.abs(b) <= tau))
+    if ok.all():
+        return SemipositivityReport(True, 0.0)
+    violation = np.where(ok, 0.0, np.maximum(-a, np.where(zero, np.abs(b), 0.0)))
+    k = int(np.argmax(violation))
+    return SemipositivityReport(False, float(violation[k]), DualReal(a[k], b[k]),
+                                DCVector(spec.basis.sig[:, k]))

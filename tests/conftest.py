@@ -58,6 +58,26 @@ def mat_exp_series(a_eps: DCMatrix, terms: int = 30) -> DCMatrix:
     return DCMatrix(sig, inf)
 
 
+def embed(x):
+    """Block image of a ring value: a + eps b -> [[a, b], [0, a]] for a
+    matrix, v0 + eps v1 -> [v1; v0] for a vector.  Images multiply as the
+    ring does, so a complex function of a matrix's image holds the
+    function's value and Frechet derivative: an oracle that shares no
+    code with the ring."""
+    if isinstance(x, DCVector):
+        return np.concatenate([x.inf, x.sig])
+    return np.block([[x.sig, x.inf], [np.zeros(x.shape), x.sig]])
+
+
+def unembed(a):
+    """The ring value read back from a block image, as `embed` lays it out."""
+    if a.ndim == 1:
+        inf, sig = np.split(a, 2)
+        return DCVector(sig, inf)
+    rows, cols = a.shape[0] // 2, a.shape[1] // 2
+    return DCMatrix(a[:rows, :cols], a[:rows, cols:])
+
+
 def random_dc_vector(dim, rng):
     return DCVector(
         rng.standard_normal(dim) + 1j * rng.standard_normal(dim),

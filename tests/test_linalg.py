@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    embed,
     mat_exp_series,
     random_complex_hermitian,
     random_dc_hermitian,
     random_dc_unitary,
     random_dc_vector,
+    unembed,
 )
 from dcquantum.errors import DimMismatch, ModulusOfInfinitesimal, NonSquare
 from dcquantum.linalg import (
@@ -202,9 +204,8 @@ class TestMatExpClosedForm:
 
     @staticmethod
     def block_expm(m):
-        n = m.rows
-        e = scipy.linalg.expm(np.block([[m.sig, m.inf], [np.zeros((n, n)), m.sig]]))
-        return e[:n, :n], e[:n, n:]
+        e = unembed(scipy.linalg.expm(embed(m)))
+        return e.sig, e.inf
 
     @pytest.mark.parametrize("n", [2, 5, 24])
     @pytest.mark.parametrize("degenerate", [False, True])
@@ -566,6 +567,11 @@ class TestValueEquality:
         assert DCVector(np.ones(1)) != DCMatrix(np.ones((1, 1)))
         assert DCVector(np.ones(1)) != 1
         assert DCVector(np.ones(2)) != (np.ones(2), np.zeros(2))
+        # an ndarray in either order, which numpy would compare entry by entry
+        for value in (DCVector(np.ones(2)), DCMatrix(np.ones((2, 2)))):
+            arr = np.ones(value.sig.shape)
+            assert (value == arr) is False and (arr == value) is False
+            assert (value != arr) is True and (arr != value) is True
 
     def test_signed_zeros_equal_and_nan_unequal(self):
         assert DCVector(np.array([0.0]), np.array([-0.0])) == DCVector(np.zeros(1))

@@ -1,0 +1,111 @@
+"""The package's module layout: each module stays small enough to
+compile cheaply, and the split of the spectral closed forms out of
+`linalg` keeps every name and every pickle that named `linalg`."""
+
+import io
+import pickle
+import tokenize
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dcquantum
+from dcquantum import linalg, spectral
+from dcquantum.linalg import DCMatrix, DCVector
+
+MODULES = sorted(Path(dcquantum.__file__).parent.glob("*.py"))
+
+# Every process that runs dcquantum from source without bytecode compiles
+# it on import, and CPython 3.11's parser holds a module's tokens in one
+# array that doubles when full: past 4096 tokens the array grows to 8192
+# entries, which raised the operators benchmark's peak RSS by 0.08-0.11 MiB.
+# The budget leaves room below that cliff.
+TOKEN_BUDGET = 3500
+
+
+def parser_tokens(path: Path) -> int:
+    """Tokens of a module as the parser receives them: tokenize's stream
+    without the comments, non-logical newlines and encoding marker."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with open(path, "rb") as f:
+        return sum(1 for t in tokenize.tokenize(f.readline) if t.type not in skipped)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_stays_below_the_token_budget(path):
+    n = parser_tokens(path)
+    assert n < TOKEN_BUDGET, f"{path.stem} has {n} parser tokens (budget {TOKEN_BUDGET})"
+
+
+# Public names defined in dcquantum.linalg before the spectral closed
+# forms moved to dcquantum.spectral.
+LINALG_NAMES = [
+    "CLUSTER_DELTA", "DCMatrix", "DCVector", "DualSpectrum", "OperatorKind",
+    "REQUIRE_ATOL", "SemipositivityReport", "check_appreciably_semipositive",
+    "classify_op", "completeness_defect", "decompose_unitary", "dilation_block",
+    "divide_vector", "eig_hermitian", "eig_unitary", "inner", "is_hermitian",
+    "is_unitary", "kron", "log_unitary", "mat_exp", "norm_sq", "residual",
+    "stinespring", "vnorm",
+]
+MOVED = ["CLUSTER_DELTA", "DualSpectrum", "SemipositivityReport",
+         "check_appreciably_semipositive", "eig_hermitian", "eig_unitary", "log_unitary"]
+
+
+def test_linalg_keeps_every_public_name():
+    assert [n for n in LINALG_NAMES if not hasattr(linalg, n)] == []
+    for name in MOVED:
+        assert getattr(linalg, name) is getattr(spectral, name), name
+        if hasattr(dcquantum, name):
+            assert getattr(dcquantum, name) is getattr(spectral, name), name
+    for cls in (DCVector, DCMatrix, linalg.OperatorKind):
+        assert cls.__module__ == "dcquantum.linalg"
+
+
+# pickle.dumps(eig_hermitian(DCMatrix([[2.0]], [[0.5]]))) as written when
+# DualSpectrum was defined in dcquantum.linalg (numpy 2 array pickles)
+LINALG_SPECTRUM_PICKLE = (
+    b"\x80\x04\x95\x9e\x01\x00\x00\x00\x00\x00\x00\x8c\x10dcquantum.linalg\x94\x8c"
+    b"\x0cDualSpectrum\x94\x93\x94)\x81\x94}\x94(\x8c\x06values\x94h\x00\x8c\x08DC"
+    b"Vector\x94\x93\x94\x8c\x16numpy._core.multiarray\x94\x8c\x0c_reconstruct\x94"
+    b"\x93\x94\x8c\x05numpy\x94\x8c\x07ndarray\x94\x93\x94K\x00\x85\x94C\x01b\x94"
+    b"\x87\x94R\x94(K\x01K\x01\x85\x94h\x0b\x8c\x05dtype\x94\x93\x94\x8c\x03c16"
+    b"\x94\x89\x88\x87\x94R\x94(K\x03\x8c\x01<\x94NNNJ\xff\xff\xff\xffJ\xff\xff"
+    b"\xff\xffK\x00t\x94b\x89C\x10\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x00\x00"
+    b"\x00\x00\x00\x00\x94t\x94bh\nh\rK\x00\x85\x94h\x0f\x87\x94R\x94(K\x01K\x01"
+    b"\x85\x94h\x17\x89C\x10\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00"
+    b"\x00\x00\x94t\x94b\x86\x94R\x94\x8c\x05basis\x94h\x00\x8c\x08DCMatrix\x94"
+    b"\x93\x94h\nh\rK\x00\x85\x94h\x0f\x87\x94R\x94(K\x01K\x01K\x01\x86\x94h\x17"
+    b"\x89C\x10\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00\x00\x94t"
+    b"\x94bh\nh\rK\x00\x85\x94h\x0f\x87\x94R\x94(K\x01K\x01K\x01\x86\x94h\x17\x89C"
+    b"\x10\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x94t"
+    b"\x94b\x86\x94R\x94\x8c\x04kind\x94\x8c\thermitian\x94ub."
+)
+
+
+def _load(data: bytes):
+    """The unpickled value and the (module, name) of each class looked up."""
+    found = []
+
+    class Recording(pickle.Unpickler):
+        def find_class(self, module, name):
+            found.append((module, name))
+            return super().find_class(module, name)
+
+    return Recording(io.BytesIO(data)).load(), found
+
+
+def test_a_spectrum_pickled_from_linalg_still_loads():
+    spec, found = _load(LINALG_SPECTRUM_PICKLE)
+    assert found[0] == ("dcquantum.linalg", "DualSpectrum")
+    assert type(spec) is spectral.DualSpectrum
+    assert spec == spectral.eig_hermitian(DCMatrix([[2.0]], [[0.5]]))
+    assert not spec.basis.sig.flags.writeable and not spec.values.inf.flags.writeable
+
+
+def test_ring_arrays_pickle_under_linalg():
+    spec = spectral.eig_hermitian(DCMatrix(np.eye(2), np.ones((2, 2))))
+    back, found = _load(pickle.dumps(spec))
+    assert back == spec
+    assert found[0] == ("dcquantum.spectral", "DualSpectrum")
+    assert ("dcquantum.linalg", "DCVector") in found and ("dcquantum.linalg", "DCMatrix") in found

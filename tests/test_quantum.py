@@ -13,11 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    embed,
     random_complex_hermitian,
     random_complex_unitary,
     random_dc_hermitian,
     random_dc_unitary,
     random_dc_vector,
+    unembed,
 )
 from dcquantum import linalg, quantum
 from dcquantum.errors import (
@@ -200,6 +202,17 @@ class TestSchrodingerStep:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             schrodinger_step(ket(2, 0), DCMatrix(1j * SX), 0.1)
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_matches_the_block_image_oracle(self, rng, n):
+        # expm of the block image of -i dt H_eps, applied to the state's image
+        h = random_dc_hermitian(n, rng)
+        s = normalize(random_dc_vector(n, rng))
+        want = unembed(scipy.linalg.expm(embed(h.scale(-0.37j))) @ embed(s.vec))
+        got = schrodinger_step(s, h, 0.37).vec
+        for part in ("sig", "inf"):
+            w = getattr(want, part)
+            assert np.abs(getattr(got, part) - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 def chain_step(s, h, dt):

@@ -475,6 +475,24 @@ class TestPiecesOfAThousandRows:
         assert peak < 2**20
         assert path.stat().st_size > 2 * 65536 * 40
 
+    def test_live_rows_are_formatted_in_blocks(self, tmp_path):
+        """A piece of 1000 live rows has 8000 floats to format, but holds
+        at most 1000 of them as Python floats at once: writing it peaks
+        at about 700 KiB, where formatting the whole piece at once (8000
+        floats and their eight lists, 256 KiB) peaked at about 1 MiB."""
+        parts = np.random.default_rng(0).standard_normal((4, 2000)).view(complex)
+        snaps = [WalkState(DCVector(parts[0], parts[1]), DCVector(parts[2], parts[3]), time=7)]
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(snaps, str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 850 * 2**10
+        _write_reference_csv(snaps, tmp_path / "ref.csv")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 def _trajectory_lines(tmp_path):
     """Header, then rows (t, x) = (0, 0..3), (1, 0..3), (2, 0..3)."""
