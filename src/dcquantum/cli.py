@@ -17,7 +17,7 @@ import numpy as np
 
 from . import scalar, serialize
 from .errors import DCError, MalformedInput, MalformedShape, NotHermitian, NotUnitary
-from .linalg import DCMatrix, OperatorKind, _relative_defect, residual
+from .linalg import DCMatrix, OperatorKind, _defect_term, residual
 from .quantum import (
     Measurement,
     complex_correct_measurement,
@@ -100,8 +100,9 @@ def _check_spectrum(m: DCMatrix, atol: float, delta: float):
         except NotUnitary:  # the Hermitian residual raises NonSquare on a state
             return False, min(residual(m, OperatorKind.HERMITIAN),
                               residual(m, OperatorKind.UNITARY))
-    d = spec.reconstruct() - m
-    worst = _relative_defect(d.sig, d.inf, (m,))
+    r = spec.reconstruct()
+    worst = float(np.max([_defect_term(d, (a,), d)
+                          for a, d in ((m.sig, r.sig - m.sig), (m.inf, r.inf - m.inf))]))
     return worst <= atol, worst
 
 

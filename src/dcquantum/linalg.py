@@ -207,25 +207,41 @@ def divide_vector(v: DCVector, w: DualNumber) -> DCVector:
 # ---------------------------------------------------------------------------
 
 
-def _relative_defect(d_sig, d_inf, family) -> float:
-    """The larger of each part's max-norm defect over max(1, that part's
-    largest modulus in the matrices checked), a backward error (Higham,
-    ch. 1); NaN if a defect has one."""
-    return float(np.max([np.abs(d).max(initial=0.0) / max(1.0, np.max(
-        [np.abs(getattr(m, part)).max(initial=0.0) for m in family]))
-        for d, part in ((d_sig, "sig"), (d_inf, "inf"))]))
+def _defect_term(d, parts, scratch) -> float:
+    """One part's term of the relative defect: max|d| over max(1, the
+    largest modulus in parts, that part of each matrix checked), a
+    backward error (Higham, ch. 1); NaN if d has one.  The moduli are
+    written over d, then over scratch, a complex array with each part's
+    columns and at least its rows (d itself will do): no array of moduli
+    is made."""
+    top = np.abs(d, out=d).real.max(initial=0.0)
+    return top / max(1.0, np.max([np.abs(a, out=scratch[:len(a)]).real.max(initial=0.0)
+                                  for a in parts]))
+
+
+def _adjoint(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a^dag written into out, which does not overlap a.  A transposed copy
+    and an in-place conjugate need no iteration buffer; conjugating a^T
+    straight into out would take one of 8192 entries."""
+    np.copyto(out, a.T)
+    return np.conjugate(out, out=out)
 
 
 def residual(m: DCMatrix, kind: OperatorKind) -> float:
     """Relative defect of m from the identity that defines `kind`: M^dag - M
     (Hermitian), M^dag + M (anti-Hermitian), or M^dag M - I (unitary; for a
-    non-square m, such as a state's column or a family's stack, an isometry check)."""
+    non-square m, such as a state's column or a family's stack, an isometry
+    check, in `completeness_defect`'s buffers).  The Hermitian and
+    anti-Hermitian kinds hold one n x n buffer, which takes each part's
+    defect and then its moduli."""
     if kind is OperatorKind.UNITARY:
         return completeness_defect((m,))
     if m.rows != m.cols:
         raise NonSquare(f"{kind.value} residual needs a square matrix, got {m.shape}")
     op = np.subtract if kind is OperatorKind.HERMITIAN else np.add
-    return _relative_defect(op(m.sig.conj().T, m.sig), op(m.inf.conj().T, m.inf), (m,))
+    buf = np.empty(m.shape, complex)
+    return float(np.max([_defect_term(op(_adjoint(a, buf), a, out=buf), (a,), buf)
+                         for a in (m.sig, m.inf)]))
 
 
 def classify_op(m: DCMatrix, atol: float = 1e-10) -> frozenset:
@@ -277,34 +293,45 @@ def mat_exp(a_eps: DCMatrix) -> DCMatrix:
     L(A, B) = Q (F o Q^dag B Q) Q^dag with the divided differences
     F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), F_ii = e^lam_i.  Any other A
     goes through `_mat_exp_taylor`, scaling and squaring in the ring.
+
+    Besides A + eps B, the closed form holds at most four n x n buffers
+    at once, the two of its result among them: one takes A^dag, then
+    -A^dag for the second test, then iA for eigh, and is dropped before
+    eigh of a Hermitian A; then Q and the two of the divided
+    differences; then the four of the assembly.
     """
     if a_eps.rows != a_eps.cols:
         raise NonSquare("mat_exp needs a square matrix")
-    a, b = a_eps.sig, a_eps.inf
-    adj = a.conj().T
+    a = a_eps.sig
+    adj = _adjoint(a, np.empty_like(a))  # then -A^dag, then iA
     if np.array_equal(adj, a):
+        del adj  # before eigh, which copies A
         lam, q = np.linalg.eigh(a)
-    elif np.array_equal(adj, -a):
-        w, q = np.linalg.eigh(1j * a)  # iA is Hermitian, so lam = -i w
+    elif np.array_equal(np.negative(adj, out=adj), a):
+        w, q = np.linalg.eigh(np.multiply(1j, a, out=adj))  # iA is Hermitian, so lam = -i w
+        del adj
         lam = -1j * w
     else:
         return _mat_exp_taylor(a_eps)
     e = np.exp(lam)
-    return _daleckii_krein(q, e, _exp_divided_differences(lam, e), b)
+    return _daleckii_krein(q, e, _exp_divided_differences(lam, e), a_eps.inf)
 
 
 def _daleckii_krein(q: np.ndarray, fx: np.ndarray, f: np.ndarray, b: np.ndarray) -> DCMatrix:
     """g(A) + eps L_g(A, B) for A = Q diag(x) Q^dag, Q unitary, given
-    fx = g(x) and the divided differences F of g at x:
-    Q diag(fx) Q^dag + eps Q (F o Q^dag B Q) Q^dag.  Q is overwritten."""
-    qh = q.conj().T
-    # Q (F o Q^dag B Q) Q^dag, then (Q fx) Q^dag, reusing n x n buffers.
+    fx = g(x) and the divided differences F of g at x, a C-ordered array:
+    Q diag(fx) Q^dag + eps Q (F o Q^dag B Q) Q^dag.  Q and F are
+    overwritten; four n x n buffers are live at once, Q and F among them."""
+    # Q (F o Q^dag B Q) Q^dag, then (Q fx) Q^dag, reusing n x n buffers:
+    # Q^dag is formed for the first product, and again once F has been
+    # used, in F's buffer when F is complex (a Hermitian A gives real F).
     # No output aliases an input, and F o X keeps its form: numpy computes
     # it in place into the product's temporary once that is large, in the
     # operand order (X, F), and complex products are not commutative bit
     # for bit under fused multiply-add.
-    t = qh @ b
+    t = q.conj().T @ b
     inf = f * (t @ q)
+    qh = np.conjugate(q, out=f if f.dtype.kind == "c" else None).T
     np.matmul(q, inf, out=t)
     np.matmul(t, qh, out=inf)
     np.matmul(np.multiply(q, fx, out=t), qh, out=q)
@@ -315,16 +342,19 @@ def _exp_divided_differences(lam: np.ndarray, e: np.ndarray) -> np.ndarray:
     """F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), and e^lam_i where
     the two coincide, as e^hi expm1(lo - hi) / (lo - hi) with hi the one
     of larger real part: no cancellation, and no overflow while e^hi is
-    finite."""
+    finite.  Two n x n buffers: lo - hi, which then takes e^hi and F, and
+    the ratio."""
     swap = lam.real[:, None] < lam.real[None, :]
-    e_hi = np.where(swap, e[None, :], e[:, None])
     d = lam[:, None] - lam[None, :]
     np.negative(d, out=d, where=~swap)  # lo - hi
     same = d == 0
     d[same] = 1.0
-    ratio = np.expm1(d) / d
+    ratio = np.expm1(d)
+    np.divide(ratio, d, out=ratio)
     ratio[same] = 1.0
-    return np.multiply(e_hi, ratio, out=d)
+    np.copyto(d, e[:, None])
+    np.copyto(d, e[None, :], where=swap)  # e^hi
+    return np.multiply(d, ratio, out=d)
 
 
 def _mat_exp_taylor(a_eps: DCMatrix) -> DCMatrix:
@@ -361,19 +391,26 @@ def completeness_defect(family) -> float:
     It works part by part (Leibniz): with M = A0 + eps A1 and
     X = A0^dag A1, M^dag M is A0^dag A0 + eps (X + X^dag), two products
     per operator and no dual temporaries; the scales are those of the
-    stack."""
+    stack.  It holds four buffers: gram and X (d x d), one product
+    (d x d), and one operator's conjugate A0-bar, as large as the largest
+    operator."""
     if not family:
         raise IncompleteFamily("empty operator family")
     d = family[0].cols
     for i, m in enumerate(family):
         if m.cols != d:
             raise DimMismatch(f"operator {i} has {m.cols} columns, operator 0 has {d}")
-    gram, x = -np.eye(d), 0
+    # three allocations, not one block, so that each can take a freed n x n hole
+    gram, x, p = (np.zeros((d, d), complex) for _ in range(3))
+    np.fill_diagonal(gram, -1.0)
+    c = np.empty((max(m.rows for m in family), d), complex)  # one A0's conjugate
     for m in family:
-        a0h = m.sig.conj().T
-        gram = gram + a0h @ m.sig
-        x = x + a0h @ m.inf
-    return _relative_defect(gram, x + x.conj().T, family)
+        a0h = np.conjugate(m.sig, out=c[:m.rows]).T
+        gram += np.matmul(a0h, m.sig, out=p)
+        x += np.matmul(a0h, m.inf, out=p)
+    sig = _defect_term(gram, [m.sig for m in family], c)
+    x += _adjoint(x, p)
+    return float(np.max([sig, _defect_term(x, [m.inf for m in family], c)]))
 
 
 def stinespring(family) -> DCMatrix:

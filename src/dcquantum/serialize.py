@@ -19,6 +19,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import DimMismatch, MalformedInput, MalformedShape, MalformedTrajectory
+from .jsonfmt import _SLOT, _frame, _indented_rows
 from .linalg import DCMatrix, DCVector
 from .quantum import Measurement, QuantumState
 from .scalar import DualComplex
@@ -84,23 +85,26 @@ def matrix_from_json(data, where: str = "matrix") -> DCMatrix:
     if len(entries) != rows * cols:
         raise MalformedShape(f"{where}: expected {rows * cols} entries, got {len(entries)}")
     # Only ints and floats may be converted: numpy would read "1.0" or
-    # True as a number.  The type scan runs at C speed.
+    # True as a number.  The type scan runs at C speed.  The entries are
+    # converted 1024 at a time into the two parts, so no float array of
+    # the whole matrix is staged; each (re, im) pair read as one complex
+    # number keeps every bit (signed zeros included), which a + 1j*b
+    # would not, and unpacking the (sig, inf) pairs of a piece takes
+    # exactly four numbers per entry.
+    sig, inf = (np.empty((rows, cols), complex) for _ in range(2))
     try:
         if not set(map(type, chain.from_iterable(entries))) <= {int, float}:
             raise TypeError
-        e = np.array(entries, dtype=float)
+        for i in range(0, rows * cols, 1024):
+            sig.flat[i:i + 1024], inf.flat[i:i + 1024] = np.array(
+                entries[i:i + 1024], dtype=float).view(complex).T
     except (TypeError, ValueError, OverflowError):
         raise _bad_entry(entries, where) from None
-    if e.shape != (rows * cols, 4):
-        raise _bad_entry(entries, where)
-    finite = np.isfinite(e).all(axis=1)
+    finite = np.isfinite(sig) & np.isfinite(inf)
     if not finite.all():
         i = int(np.argmin(finite))
         raise MalformedInput(f"{where}.entries[{i}]: {entries[i]!r} is not finite")
-    # Each (re, im) pair read as one complex number keeps every bit (signed
-    # zeros included), which a + 1j*b would not.
-    sig, inf = e.view(complex).T
-    return DCMatrix(sig.reshape(rows, cols), inf.reshape(rows, cols))
+    return DCMatrix._owning(sig, inf)
 
 
 def vector_to_json(v: DCVector) -> dict:
@@ -183,49 +187,12 @@ def load_tagged(path: str):
     return tagged_from_json(_read_json(path))
 
 
-# The frame's stand-in for a matrix's entries.  When obj holds this text
-# too, the slots cannot be told apart, and json encodes the whole file.
-_SLOT = "dcquantum:entries"
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
 # Rows formatted at once, which bounds the strings alive; a power of ten,
 # so the sites of a CSV piece share all but their last three digits.
 _ROWS_PER_PIECE = 1000
 # Live CSV rows formatted at once: their eight float columns are Python
 # floats while formatted, so this bounds them at 1000 rather than 8000.
 _LIVE_ROWS_PER_BLOCK = 125
-
-
-def _frame(value, blocks: list, indent: int = 0):
-    """value with each "entries" list of equal-length float lists replaced
-    by the slot and appended to blocks with the indent json gives it."""
-    if isinstance(value, list):
-        return [_frame(v, blocks, indent + 1) for v in value]
-    if not isinstance(value, dict):
-        return value
-    frame = {}
-    for k, v in value.items():
-        if (k == "entries" and type(v) is list and v and set(map(type, v)) == {list}
-                and len(set(map(len, v))) == 1
-                and set(map(type, chain.from_iterable(v))) == {float}):
-            blocks.append((v, indent + 1))
-            v = _SLOT
-        frame[k] = _frame(v, blocks, indent + 1)
-    return frame
-
-
-def _indented_rows(rows: list, indent: int):
-    """json.dumps(rows, indent=1) at `indent` spaces, for equal-length
-    float lists, in pieces: a row template filled with each float's repr."""
-    cell, item = ",\n" + " " * (indent + 2), ",\n" + " " * (indent + 1)
-    row = "[" + cell[1:] + cell.join(["%s"] * len(rows[0])) + item[1:] + "]"
-    yield "[" + item[1:]
-    for start in range(0, len(rows), _ROWS_PER_PIECE):
-        piece = rows[start:start + _ROWS_PER_PIECE]
-        floats = list(map(float.__repr__, chain.from_iterable(piece)))
-        if not _NON_FINITE.keys().isdisjoint(floats):
-            floats = [_NON_FINITE.get(f, f) for f in floats]
-        yield (item if start else "") + item.join([row] * len(piece)) % tuple(floats)
-    yield "\n" + " " * indent + "]"
 
 
 def dump_json(obj: dict, path: str) -> None:

@@ -358,35 +358,30 @@ class CovarianceReport:
         return 1.8 <= self.fitted_order <= 2.2
 
 
-def _covariance_discrepancy(patch: LorentzPatch, gate: Callable, psip, psim) -> float:
-    """Largest modulus, over both parts, of the wire differences between
-    sending alpha right-movers across beta left-movers through the grid
-    of gate(m') in causal wavefront order (gate (i, j) fires at time
-    i + j) and one gate(m) followed by the encodings.  The wires are the
-    columns of one (sig, inf) array, right-movers then left-movers in
-    reverse, so wavefront w pairs right wire i with the column
-    alpha + beta - 1 - w further on, and no wire twice.  Gate entries and
-    spreads are purely real or imaginary, so each product rounds as the
-    scalar DualComplex one does."""
+def _gate_rows(g, plus, minus):
+    """`_gate_apply` on rows of sites: the (psi-, psi+) rows of g, one
+    2 x 2 gate or a stack of them, on rows of psi+ and psi- amplitudes,
+    each product with the gate entry first."""
+    return g[..., :1] * plus[..., None, :] + g[..., 1:] * minus[..., None, :]
+
+
+def _discrepancies(patch: LorentzPatch, wires, fire, outputs) -> np.ndarray:
+    """Per row of wires, one part of the amplitudes each: the largest
+    modulus of the differences between sending alpha right-movers across
+    beta left-movers through the gate grid in causal wavefront order
+    (gate (i, j) fires at time i + j; fire(right, left) gives each row's
+    (psi-, psi+) rows) and outputs(), one gate followed by the encodings.
+    The wires are right-movers then left-movers in reverse, so wavefront
+    w pairs right wire i with the column alpha + beta - 1 - w further on,
+    and no wire twice."""
     a, b = patch.alpha, patch.beta
-    spread = DCVector(np.concatenate([patch.e_alpha.sig, patch.e_beta.sig])[:, 0])
-
-    def encode(plus: DualComplex, minus: DualComplex) -> np.ndarray:
-        amps = DCVector(*np.repeat([[plus.sig, minus.sig], [plus.inf, minus.inf]], [a, b], 1))
-        return np.array(_leibniz(np.multiply, amps, spread))
-
-    g = gate(patch.m_prime)
-    wires = encode(psip, psim)
     with np.errstate(invalid="ignore"):  # an infinite mass gives NaN, which fails
         for wave in range(a + b - 1):
             lo, hi, shift = max(0, wave - b + 1), min(a, wave + 1), a + b - 1 - wave
             right, left = wires[:, lo:hi], wires[:, lo + shift:hi + shift]
-            pairs = DCMatrix(np.array([right[0], left[0]]), np.array([right[1], left[1]]))
-            sig, inf = _leibniz(lambda x, y: x[:, :1] * y[0] + x[:, 1:] * y[1], g, pairs)
-            (left[0], right[0]), (left[1], right[1]) = sig, inf  # rows (psi-, psi+)
-        out_minus, out_plus = _gate_apply(gate(patch.m), psip, psim)
-        d = wires - encode(out_plus, out_minus)
-        return float(np.max(np.hypot(d.real, d.imag)))  # NaN propagates
+            left[...], right[...] = fire(right, left).swapaxes(0, 1)
+        d = wires - outputs()
+        return np.max(np.hypot(d.real, d.imag), axis=1)  # NaN propagates
 
 
 def covariance_check(
@@ -406,29 +401,49 @@ def covariance_check(
     when all three discrepancies are exactly 0.  A non-finite
     discrepancy fails in both modes.
     """
-    psip, psim = inputs
-    if not isinstance(psip, DualComplex):
-        psip = DualComplex(psip)
-    if not isinstance(psim, DualComplex):
-        psim = DualComplex(psim)
+    psip, psim = (x if isinstance(x, DualComplex) else DualComplex(x) for x in inputs)
+    a, b = patch.alpha, patch.beta
+    spread = np.concatenate([patch.e_alpha.sig, patch.e_beta.sig])[:, 0]
 
     if mode == "dual_exact":
-        d = _covariance_discrepancy(patch, dirac_gate, psip, psim)
-        return CovarianceReport("dual_exact", patch.alpha, patch.beta, d)
+        # The wires' rows are the sig and eps parts.  Gate entries and
+        # spreads are purely real or imaginary, so each product rounds as
+        # the scalar DualComplex one does.
+        g, spread = dirac_gate(patch.m_prime), DCVector(spread)
+
+        def encode(plus: DualComplex, minus: DualComplex) -> np.ndarray:
+            amps = DCVector(*np.repeat([[plus.sig, minus.sig], [plus.inf, minus.inf]], [a, b], 1))
+            return np.array(_leibniz(np.multiply, amps, spread))
+
+        def fire(right, left):
+            out = _gate_rows(g.sig, right, left)
+            out[1] += _gate_rows(g.inf, right[0], left[0])  # Leibniz
+            return out
+
+        d = _discrepancies(patch, encode(psip, psim), fire,
+                           lambda: encode(*_gate_apply(dirac_gate(patch.m), psip, psim)[::-1]))
+        return CovarianceReport("dual_exact", a, b, float(np.max(d)))
 
     if mode != "corrected":
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 < h < math.inf:
         raise ValueError(f"corrected mode needs a finite h > 0, got {h!r}")
 
-    def at(hh: float) -> float:  # conventional amplitudes: the inputs at eps = hh
-        return _covariance_discrepancy(patch, lambda m: DCMatrix(corrected_gate(m, hh)),
-                                       DualComplex(psip.sig + hh * psip.inf),
-                                       DualComplex(psim.sig + hh * psim.inf))
+    # the conventional runs at eps = h, h/2 and h/4 are the rows of one
+    # array of wires, with no eps-part, which would be 0
+    hs = (h, h / 2.0, h / 4.0)
+    ins = [(psip.sig + hh * psip.inf, psim.sig + hh * psim.inf) for hh in hs]
+    g = np.array([corrected_gate(patch.m_prime, hh) for hh in hs])
 
-    ds = [at(h), at(h / 2.0), at(h / 4.0)]
+    def outputs():
+        outs = [_gate_apply(DCMatrix(corrected_gate(patch.m, hh)), DualComplex(plus),
+                            DualComplex(minus)) for hh, (plus, minus) in zip(hs, ins)]
+        return np.repeat([(plus.sig, minus.sig) for minus, plus in outs], [a, b], 1) * spread
+
+    ds = _discrepancies(patch, np.repeat(ins, [a, b], 1) * spread,
+                        lambda right, left: _gate_rows(g, right, left), outputs).tolist()
     order = None
     if min(ds) > 1e-14:
         ratios = [ds[0] / ds[1], ds[1] / ds[2]]
         order = float(np.mean([math.log2(r) for r in ratios]))
-    return CovarianceReport("corrected", patch.alpha, patch.beta, float(np.max(ds)), order)
+    return CovarianceReport("corrected", a, b, float(np.max(ds)), order)

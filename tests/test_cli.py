@@ -149,6 +149,19 @@ class TestCheckCommand:
         assert report["pass"] is True
         assert report["fitted_order"] == pytest.approx(2.0, abs=0.01)
 
+    @pytest.mark.parametrize("argv, worst, order", [
+        (["--alpha", "2", "--beta", "3"], 1.881419517893412e-05, 1.9997751629566505),
+        (["--alpha", "128", "--beta", "128", "--trials", "3"],
+         4.251711122550778e-06, 2.000800979469973),
+    ], ids=["2x3", "128x128"])
+    def test_covariance_corrected_readme_reports_keep_their_bits(self, capsys, argv,
+                                                                 worst, order):
+        # the README and CI runs, whose bits the dual kernel gave when it ran
+        # each conventional run with eps-parts of zero
+        assert main(["check", "covariance", *argv, "--mode", "corrected", "--h", "1e-2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["max_discrepancy"], report["fitted_order"]) == (worst, order)
+
     @pytest.mark.parametrize("argv", [["--h", "1e-9"], ["--h", "1e-6", "--trials", "1"]])
     def test_covariance_corrected_below_fit_floor_fails(self, capsys, argv):
         # discrepancies of 2e-16 and 1.5e-13: too small to fit an order

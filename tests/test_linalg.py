@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -464,6 +465,208 @@ class TestResidualByParts:
                     else:  # the same subtractions, so the same bits
                         assert (np.float64(residual(m, kind)).tobytes()
                                 == np.float64(_dual_temporary_residual(m, kind)).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# The allocating one-liners that the buffered checks and mat_exp replaced,
+# kept as bit-exact references: each forms every temporary afresh.
+# ---------------------------------------------------------------------------
+
+
+def _allocating_relative_defect(d_sig, d_inf, family):
+    return float(np.max([np.abs(d).max(initial=0.0) / max(1.0, np.max(
+        [np.abs(getattr(m, part)).max(initial=0.0) for m in family]))
+        for d, part in ((d_sig, "sig"), (d_inf, "inf"))]))
+
+
+def _allocating_completeness_defect(family):
+    gram, x = -np.eye(family[0].cols), 0
+    for m in family:
+        a0h = m.sig.conj().T
+        gram = gram + a0h @ m.sig
+        x = x + a0h @ m.inf
+    return _allocating_relative_defect(gram, x + x.conj().T, family)
+
+
+def _allocating_residual(m, kind):
+    if kind is OperatorKind.UNITARY:
+        return _allocating_completeness_defect((m,))
+    op = np.subtract if kind is OperatorKind.HERMITIAN else np.add
+    return _allocating_relative_defect(op(m.sig.conj().T, m.sig),
+                                       op(m.inf.conj().T, m.inf), (m,))
+
+
+def _allocating_mat_exp(a_eps):
+    a, b = a_eps.sig, a_eps.inf
+    adj = a.conj().T
+    if np.array_equal(adj, a):
+        lam, q = np.linalg.eigh(a)
+    elif np.array_equal(adj, -a):
+        w, q = np.linalg.eigh(1j * a)
+        lam = -1j * w
+    else:
+        return linalg._mat_exp_taylor(a_eps)
+    e = np.exp(lam)
+    swap = lam.real[:, None] < lam.real[None, :]
+    e_hi = np.where(swap, e[None, :], e[:, None])
+    d = lam[:, None] - lam[None, :]
+    np.negative(d, out=d, where=~swap)
+    same = d == 0
+    d[same] = 1.0
+    ratio = np.expm1(d) / d
+    ratio[same] = 1.0
+    f = e_hi * ratio
+    qh = q.conj().T
+    t = qh @ b
+    inf = f * (t @ q)  # numpy computes this in place into t @ q once that is large
+    return DCMatrix((q * e) @ qh, q @ inf @ qh)
+
+
+#: signed zeros, NaN, infinities and a subnormal, beside moderate values
+_EDGE_ENTRIES = (st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324])
+                 | st.floats(-4.0, 4.0))
+
+
+def _edge_parts(rows, cols, entries=_EDGE_ENTRIES):
+    return hnp.arrays(np.float64, (2, rows, cols, 2), elements=entries).map(
+        lambda a: DCMatrix(*a.view(complex)[..., 0]))
+
+
+@st.composite
+def _edge_families(draw):
+    """1 to 4 operators with a common column count, rectangular or square;
+    a single column is a state's n x 1 isometry check."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.integers(0, 6) if cols > 1 else st.integers(1, 12),
+                         min_size=1, max_size=4))
+    return [draw(_edge_parts(r, cols)) for r in rows]
+
+
+_FINITE_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, 1.0, -0.5]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _generators(draw):
+    """A dual A + eps B whose A is exactly Hermitian (its upper triangle
+    mirrored), anti-Hermitian (i or -i dt times that, as schrodinger_step
+    scales it) or neither, with an eps-part of any entries."""
+    n = draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([_FINITE_ENTRIES, _EDGE_ENTRIES]))
+    x = draw(_edge_parts(n, n, entries)).sig
+    with np.errstate(invalid="ignore"):  # i inf is NaN + i inf: that A takes the series
+        h = np.triu(x, 1)
+        h = h + h.conj().T
+        np.fill_diagonal(h, x.diagonal().real)
+        a = draw(st.sampled_from([h, 1j * h, (-1j * draw(st.floats(1e-3, 2.0))) * h, x]))
+    return DCMatrix(a, draw(_edge_parts(n, n)).inf)
+
+
+def _outcome(f, *args):
+    """The bits f returns, or the type of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            r = f(*args)
+    except (np.linalg.LinAlgError, ValueError) as e:
+        return type(e)
+    if isinstance(r, float):
+        return np.float64(r).tobytes()
+    return r.sig.tobytes(), r.inf.tobytes()
+
+
+class TestBufferedChecksBitIdentical:
+    """residual, completeness_defect and mat_exp work in reused buffers;
+    the elementwise operations and their operand order are those of the
+    one-liners above, so every bit of every result is theirs."""
+
+    @given(_edge_families())
+    @settings(max_examples=300, deadline=None)
+    def test_completeness_defect(self, family):
+        assert (_outcome(completeness_defect, family)
+                == _outcome(_allocating_completeness_defect, family))
+
+    @given(st.one_of(_edge_families().map(lambda f: f[0]),
+                     st.integers(0, 5).flatmap(lambda n: _edge_parts(n, n)),
+                     _near_kind_matrices()),
+           st.sampled_from(list(OperatorKind)))
+    @settings(max_examples=300, deadline=None)
+    def test_residual(self, m, kind):
+        if kind is not OperatorKind.UNITARY and m.rows != m.cols:
+            with pytest.raises(NonSquare):
+                residual(m, kind)
+        else:
+            assert _outcome(residual, m, kind) == _outcome(_allocating_residual, m, kind)
+
+    def test_nan_defects_fail(self):
+        for m in (DCMatrix(np.eye(3), np.diag([0.0, np.nan, 0.0])),
+                  DCMatrix(np.array([[1.0], [np.nan]]))):
+            for kind in OperatorKind:
+                if m.rows == m.cols or kind is OperatorKind.UNITARY:
+                    assert np.isnan(residual(m, kind))
+        assert np.isnan(completeness_defect((DCMatrix(np.eye(2)),
+                                             DCMatrix(np.full((1, 2), np.nan)))))
+
+    @given(_generators())
+    @settings(max_examples=300, deadline=None)
+    def test_mat_exp(self, a_eps):
+        assert _outcome(mat_exp, a_eps) == _outcome(_allocating_mat_exp, a_eps)
+
+    @pytest.mark.parametrize("n", [127, 128, 129])
+    def test_mat_exp_either_side_of_numpy_temporary_elision(self, n, rng):
+        # from 128 x 128 up numpy multiplies F o X into X's temporary, in
+        # the operand order (X, F)
+        h = random_dc_hermitian(n, rng)
+        for a_eps in (h, h.scale(-0.05j)):
+            assert _outcome(mat_exp, a_eps) == _outcome(_allocating_mat_exp, a_eps)
+
+
+class TestBufferBudget:
+    """Transient peaks at n = 128, in n x n complex buffers of 256 KiB, as
+    tracemalloc sees them: numpy's arrays and its 64 KiB iteration
+    buffers, not LAPACK's workspaces.  The one-liners above peak at 3.5
+    (Hermitian and anti-Hermitian residual), 5.5 (the unitary residual,
+    and a family of two), 6.0 and 6.5 (mat_exp of a Hermitian and an
+    anti-Hermitian A, its two-buffer result included)."""
+
+    N = 128
+
+    @classmethod
+    def buffers(cls, f, *args) -> float:
+        f(*args)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = f(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        del result
+        return peak / (cls.N * cls.N * 16)
+
+    @pytest.mark.parametrize("kind", [OperatorKind.HERMITIAN, OperatorKind.ANTI_HERMITIAN])
+    def test_hermitian_residuals_hold_one_buffer(self, kind, rng):
+        # the defect, then the moduli of each part in it
+        h = random_dc_hermitian(self.N, rng)
+        assert self.buffers(residual, h, kind) <= 1.5
+
+    def test_unitary_residual_holds_four(self, rng):
+        # gram, X, one product, and the operator's conjugate
+        u = random_dc_unitary(self.N, rng)
+        assert self.buffers(residual, u, OperatorKind.UNITARY) <= 4.5
+
+    def test_completeness_of_a_family_holds_four(self, rng):
+        p = np.diag(rng.integers(0, 2, self.N)).astype(complex)
+        family = (DCMatrix(p, random_complex_hermitian(self.N, rng)), DCMatrix(np.eye(self.N) - p))
+        assert self.buffers(completeness_defect, family) <= 4.5
+
+    def test_mat_exp_of_an_anti_hermitian_generator_holds_four(self, rng):
+        # -i dt H, as schrodinger_step passes it: iA in the adjoint's
+        # buffer through eigh, then the assembly's four, its result among them
+        a_eps = random_dc_hermitian(self.N, rng).scale(-0.05j)
+        assert self.buffers(mat_exp, a_eps) <= 4.75
+
+    def test_mat_exp_of_a_hermitian_generator(self, rng):
+        # real divided differences cannot hold Q^dag, so one more buffer
+        assert self.buffers(mat_exp, random_dc_hermitian(self.N, rng)) <= 5.25
 
 
 class TestRingResultsOwnTheirArrays:

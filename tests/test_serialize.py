@@ -96,6 +96,35 @@ class TestMatrixVector:
         with pytest.raises(DimMismatch):
             vector_from_json(matrix_to_json(DCMatrix.identity(2)))
 
+    @pytest.mark.parametrize("rows, cols", [(32, 32), (32, 33), (40, 60)])
+    def test_round_trip_across_conversion_pieces(self, rows, cols, rng):
+        # the entries are converted 1024 at a time
+        parts = rng.standard_normal((2, rows, cols)) + 1j * rng.standard_normal((2, rows, cols))
+        parts.flat[::7] = complex(-0.0, 5e-324)
+        m = DCMatrix(*parts)
+        back = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+        for got, want in ((back.sig, m.sig), (back.inf, m.inf)):
+            assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+            assert not got.flags.writeable
+        assert not np.shares_memory(back.sig, back.inf)
+
+    def test_parsing_stages_no_array_of_the_whole_matrix(self, rng):
+        """At 128 x 128 the two parts of the result are two 256 KiB arrays;
+        a whole-matrix float array (512 KiB) and defensive copies of the
+        result would take the peak to 4.1 of them."""
+        n = 128
+        data = json.loads(json.dumps(matrix_to_json(random_dc_unitary(n, rng))))
+        matrix_from_json(data)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m = matrix_from_json(data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert m.shape == (n, n)
+        assert peak / (n * n * 16) <= 2.5
+
 
 class TestTagged:
     def test_unitary_file(self, rng, tmp_path):
@@ -231,6 +260,22 @@ class TestMatrixRejectsMalformed:
         entries[i][data.draw(st.integers(0, 3))] = bad
         with pytest.raises(MalformedInput, match=rf"^m\.entries\[{i}\]: "):
             matrix_from_json({"rows": rows, "cols": cols, "entries": entries}, "m")
+
+    @pytest.mark.parametrize("i", [0, 1023, 1024, 2047, 2048, 2399])
+    @pytest.mark.parametrize("bad", [float("nan"), [1.0, 2.0, 3.0], "1.0"])
+    def test_bad_entry_named_in_any_conversion_piece(self, i, bad):
+        entries = [[0.5, -0.0, 1, 2.0] for _ in range(40 * 60)]
+        if isinstance(bad, list):
+            entries[i] = bad
+        else:
+            entries[i][2] = bad
+        with pytest.raises(MalformedInput, match=rf"^m\.entries\[{i}\]: "):
+            matrix_from_json({"rows": 40, "cols": 60, "entries": entries}, "m")
+
+    def test_a_whole_piece_of_five_number_entries_is_malformed(self):
+        entries = [[0.0] * 4] * 1024 + [[0.0] * 5] * 1024
+        with pytest.raises(MalformedInput, match=r"^matrix\.entries\[1024\]: a scalar is"):
+            matrix_from_json({"rows": 32, "cols": 64, "entries": entries})
 
     @pytest.mark.parametrize("entry", [[1.0, 2.0], [1.0] * 5, [], 3.0, "abcd"])
     def test_scalar_must_be_four_numbers(self, entry):
