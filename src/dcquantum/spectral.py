@@ -2,9 +2,10 @@
 
 First-order eigenpairs of Hermitian and unitary dual operators (eigenvalue
 and eigenvector corrections from the sig-part's spectrum, degenerate
-clusters diagonalized by the eps-part), the anti-Hermitian logarithm of a
-dual unitary, and the appreciable-semipositivity check.  The ring itself,
-and the Daleckii-Krein assembly shared with `mat_exp`, live in `linalg`.
+clusters diagonalized by the eps-part; a unitary's eigenbasis from its
+Cayley transform), the anti-Hermitian logarithm of a dual unitary, and the
+appreciable-semipositivity check.  The ring itself, and the Daleckii-Krein
+assembly shared with `mat_exp`, live in `linalg`.
 """
 
 from __future__ import annotations
@@ -131,15 +132,19 @@ def eig_hermitian(h_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum
     return _first_order_spectrum("hermitian", theta, p, h_eps.inf, delta)
 
 
-def _unitary_eigenbasis(u: np.ndarray, delta: float):
-    """Orthonormal eigenbasis of a complex unitary via joint
-    diagonalization of the commuting Hermitians U + U^dag and
-    -i(U - U^dag); robust for degenerate eigenvalues."""
-    k = u + u.conj().T
-    _, q = np.linalg.eigh(k)
-    w = np.real(np.diag(q.conj().T @ k @ q))
-    l = -1j * (u - u.conj().T)
-    q, _ = _diagonalize_in_clusters(q, w, l, delta)
+def _unitary_eigenbasis(u: np.ndarray):
+    """Orthonormal eigenbasis of a complex unitary U from one Hermitian,
+    the Cayley transform i(I + V)^-1 (I - V) of V = -e^(-i psi) U, psi mid
+    the widest gap of the phases +-arccos(c/2), c in spec(U + U^dag)."""
+    if not len(u):  # no phase, so no gap
+        return np.ones(0, complex), np.eye(0, dtype=complex)
+    a = np.arccos(np.clip(0.5 * np.linalg.eigvalsh(u + u.conj().T), -1.0, 1.0))
+    t = np.concatenate((-a, a[::-1]))  # ascending, as eigvalsh returns c
+    gap = np.diff(t, append=t[0] + 2 * np.pi)
+    k = np.argmax(gap)
+    v = -np.exp(-1j * (t[k] + 0.5 * gap[k])) * u
+    eye = np.eye(len(u))
+    _, q = np.linalg.eigh(1j * np.linalg.solve(eye + v, eye - v))
     lam = np.diag(q.conj().T @ u @ q)
     # project numerical eigenvalues back onto the unit circle
     lam = lam / np.abs(lam)
@@ -150,7 +155,7 @@ def eig_unitary(u_eps: DCMatrix, delta: float = CLUSTER_DELTA) -> DualSpectrum:
     """Dual eigendecomposition of a dual-complex unitary
     U_eps = (I + i eps J) U: eigenvalues lam_k (1 + i eps <k|J|k>)."""
     u, j = decompose_unitary(u_eps)
-    lam, p = _unitary_eigenbasis(u, delta)
+    lam, p = _unitary_eigenbasis(u)
     return _first_order_spectrum("unitary", lam, p, j, delta)
 
 
@@ -163,7 +168,7 @@ def log_unitary(u_eps: DCMatrix) -> DCMatrix:
     x = 0: no first-order eigenvector correction, so no division by a
     gap.  mat_exp inverts it."""
     u, _ = decompose_unitary(u_eps)
-    lam, q = _unitary_eigenbasis(u, CLUSTER_DELTA)
+    lam, q = _unitary_eigenbasis(u)
     theta = np.angle(lam)
     x = 0.5 * (theta[:, None] - theta[None, :])
     f = np.exp(-0.5j * (theta[:, None] + theta[None, :])) / np.sinc(x / np.pi)

@@ -264,6 +264,17 @@ class TestCheckSpectrumKind:
             report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
             assert report["pass"] is True and report["worst_residual"] <= 1e-15
 
+    def test_phase_near_a_mirror_image_rebuilds_to_rounding(self, tmp_path, capsys):
+        # phases 1 and -1 - 1e-7: 2 cos(theta) of the two agree to 1.7e-7
+        rng = np.random.default_rng(3)
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        u = (q * np.exp(1j * np.array([1.0, -1.0 - 1e-7, 2.5, -0.2]))) @ q.conj().T
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        path = write_unitary(tmp_path / "mirror.json", DCMatrix(u, 0.5j * (a + a.conj().T) @ u))
+        assert main(["check", "spectrum", "--in", path]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+        assert report["worst_residual"] <= 1e-13
+
     def test_state_has_no_spectrum(self, tmp_path, capsys):
         doc = serialize.state_to_json(normalize(DCVector(np.array([0.6, 0.8j]))))
         path = _write_doc(tmp_path / "s.json", doc)
