@@ -36,7 +36,6 @@ from .linalg import (
     decompose_unitary,
     dilation_block,
     divide_vector,
-    inner,
     is_hermitian,
     is_unitary,
     kron,

@@ -110,15 +110,16 @@ def _first_order_spectrum(kind: str, x: np.ndarray, p: np.ndarray, j: np.ndarray
     i x_k for U (Kato, ch. II).  Rotating each degenerate cluster (within
     delta) to diagonalize its block of h = p^dag j p fixes the basis;
     <m|k1> = rate_k h_mk / (x_k - x_m) across clusters, 0 within, and the
-    eigenvalues x_k + eps rate_k h_kk are ordered by value (H) or phase
-    (U), then by h_kk."""
+    eigenvalues x_k + eps rate_k h_kk are ordered by cluster, then by
+    h_kk: the clusters by value (H) or phase (U), where a cluster that
+    straddles the branch cut comes first."""
     unitary = kind == "unitary"
     rate = 1j * x if unitary else 1
     p, ids = _diagonalize_in_clusters(p, x, j, delta)
     h = p.conj().T @ j @ p
     p1 = p @ _across_clusters(ids, rate * h, x[None, :] - x[:, None])
     mu = np.real(np.diag(h))
-    order = np.lexsort((mu, np.angle(x) if unitary else x))
+    order = np.lexsort((mu, ids))
     return DualSpectrum(DCVector(x[order], (rate * mu)[order]),
                         DCMatrix._owning(p[:, order], p1[:, order]), kind)
 

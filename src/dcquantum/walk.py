@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import PatchMismatch
 from .linalg import DCMatrix, DCVector, norm_sq
-from .scalar import DualComplex, DualReal, _leibniz
+from .scalar import DualComplex, DualReal
 
 
 def dirac_gate(m: float) -> DCMatrix:
@@ -114,14 +114,14 @@ class Trajectory:
         comoving frame y = x - t, and (1j*m) * psi+.sig0[y - 2t + 2] from
         psi-.inf in y = x + t.  Each mover's products are made once, and
         only their support is kept (`_support`): the span from the first
-        to the last product that can change a bit of the accumulator, so
-        the NaN an infinite mass makes of a zero counts, and a -0
-        component counts while the accumulator holds a -0.0.  For a
+        to the last product whose bits are not those of +0+0j.  For a
         finite mass and an accumulator without a -0.0 a zero sig makes a
         product that changes nothing, so the products are formed only
-        over sig0's arc (`_arc`); otherwise over the whole ring.  A step
-        subtracts the span from the window it lands on, in two slices
-        when the window wraps, so it costs O(support), not O(n).  The
+        over sig0's arc (`_arc`); otherwise over the whole ring, as an
+        infinite mass makes NaN of a zero sig, and a -0 product changes
+        an accumulator's -0.0.  A step subtracts the span from the window
+        it lands on, in two slices when the window wraps, so it costs
+        O(support), not O(n).  The
         products left out change no bit, so every component keeps the
         operands and order of the stepping recurrence inf - (1j*m)*sig:
         every bit but a NaN's sign is the recurrence's, signed zeros
@@ -146,10 +146,10 @@ class Trajectory:
             start, count = _arc(mover.inf)
             acc = np.zeros(n, dtype=complex)
             acc[start:start + count] = mover.inf[start:start + count]
-            signed = bool((acc[start:start + count].view(np.uint64) == _NEGATIVE_ZERO).any())
-            if signed or not math.isfinite(m):  # a zero sig can change a bit
+            if (not math.isfinite(m)  # a zero sig can change a bit
+                    or (acc[start:start + count].view(np.uint64) == _NEGATIVE_ZERO).any()):
                 lo, length = 0, n
-            first, span = _support(np.multiply(1j * m, other.sig[lo:lo + length]), signed)
+            first, span = _support(np.multiply(1j * m, other.sig[lo:lo + length]))
             movers.append((sign, mover.sig, arc, acc, (start, count), lo + first, span))
         for t in range(1, steps + 1):
             for sign, _, _, acc, _, lo, span in movers:
@@ -200,25 +200,17 @@ def _copy_arc(dst: np.ndarray, src: np.ndarray, arc, shift: int) -> None:
         start, to, length = (start + k) % n, (to + k) % n, length - k
 
 
-def _support(products: np.ndarray, signed: bool):
-    """(lo, a copy of products[lo:hi]) for the span from the first to
-    the last product whose subtraction can change a bit of an
-    accumulator, which holds a -0.0 iff `signed`; (0, empty) when there
-    is none.
+def _support(products: np.ndarray):
+    """(lo, a copy of products[lo:hi]) for `_arc`'s span of the products:
+    from the first to the last whose bits are not those of +0+0j.
 
     Subtracting +0 changes no bit of a double, and subtracting -0 changes
     only a -0.0 (to +0.0).  A difference is -0.0 only as -0.0 - (+0.0),
     so an accumulator that starts without a -0.0 component never gets
-    one, and then a product whose components are both zero, of either
-    sign, changes nothing."""
-    if signed:
-        live = np.flatnonzero(products.view(np.uint64)) // 2  # every set bit
-    else:
-        live = np.flatnonzero(products)  # by value: -0 is zero, NaN is not
-    if not len(live):
-        return 0, products[:0]
-    lo, hi = live[0], live[-1] + 1
-    return int(lo), products[lo:hi].copy()
+    one, and then the zero products of either sign inside the span
+    change nothing."""
+    lo, length = _arc(products)
+    return lo, products[lo:lo + length].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +362,17 @@ def _discrepancies(patch: LorentzPatch, wires, fire, outputs) -> np.ndarray:
     modulus of the differences between sending alpha right-movers across
     beta left-movers through the gate grid in causal wavefront order
     (gate (i, j) fires at time i + j; fire(right, left) gives each row's
-    (psi-, psi+) rows) and outputs(), one gate followed by the encodings.
-    The wires are right-movers then left-movers in reverse, so wavefront
-    w pairs right wire i with the column alpha + beta - 1 - w further on,
-    and no wire twice."""
+    (psi-, psi+) rows) and the rows of outputs, one gate followed by the
+    encodings.  The wires are right-movers then left-movers in reverse,
+    so wavefront w pairs right wire i with the column alpha + beta - 1 - w
+    further on, and no wire twice."""
     a, b = patch.alpha, patch.beta
     with np.errstate(invalid="ignore"):  # an infinite mass gives NaN, which fails
         for wave in range(a + b - 1):
             lo, hi, shift = max(0, wave - b + 1), min(a, wave + 1), a + b - 1 - wave
             right, left = wires[:, lo:hi], wires[:, lo + shift:hi + shift]
             left[...], right[...] = fire(right, left).swapaxes(0, 1)
-        d = wires - outputs()
+        d = wires - outputs
         return np.max(np.hypot(d.real, d.imag), axis=1)  # NaN propagates
 
 
@@ -405,23 +397,25 @@ def covariance_check(
     a, b = patch.alpha, patch.beta
     spread = np.concatenate([patch.e_alpha.sig, patch.e_beta.sig])[:, 0]
 
+    def encode(rows):
+        """Each row's (psi+, psi-) spread over the alpha + beta wires; the
+        spread is real and has no eps-part, so it encodes each part alone."""
+        return np.repeat(rows, [a, b], 1) * spread
+
     if mode == "dual_exact":
         # The wires' rows are the sig and eps parts.  Gate entries and
         # spreads are purely real or imaginary, so each product rounds as
         # the scalar DualComplex one does.
-        g, spread = dirac_gate(patch.m_prime), DCVector(spread)
-
-        def encode(plus: DualComplex, minus: DualComplex) -> np.ndarray:
-            amps = DCVector(*np.repeat([[plus.sig, minus.sig], [plus.inf, minus.inf]], [a, b], 1))
-            return np.array(_leibniz(np.multiply, amps, spread))
+        g = dirac_gate(patch.m_prime)
 
         def fire(right, left):
             out = _gate_rows(g.sig, right, left)
             out[1] += _gate_rows(g.inf, right[0], left[0])  # Leibniz
             return out
 
-        d = _discrepancies(patch, encode(psip, psim), fire,
-                           lambda: encode(*_gate_apply(dirac_gate(patch.m), psip, psim)[::-1]))
+        minus, plus = _gate_apply(dirac_gate(patch.m), psip, psim)
+        d = _discrepancies(patch, encode([[psip.sig, psim.sig], [psip.inf, psim.inf]]), fire,
+                           encode([[plus.sig, minus.sig], [plus.inf, minus.inf]]))
         return CovarianceReport("dual_exact", a, b, float(np.max(d)))
 
     if mode != "corrected":
@@ -432,16 +426,11 @@ def covariance_check(
     # the conventional runs at eps = h, h/2 and h/4 are the rows of one
     # array of wires, with no eps-part, which would be 0
     hs = (h, h / 2.0, h / 4.0)
-    ins = [(psip.sig + hh * psip.inf, psim.sig + hh * psim.inf) for hh in hs]
+    ins = np.array([(psip.sig + hh * psip.inf, psim.sig + hh * psim.inf) for hh in hs])
     g = np.array([corrected_gate(patch.m_prime, hh) for hh in hs])
-
-    def outputs():
-        outs = [_gate_apply(DCMatrix(corrected_gate(patch.m, hh)), DualComplex(plus),
-                            DualComplex(minus)) for hh, (plus, minus) in zip(hs, ins)]
-        return np.repeat([(plus.sig, minus.sig) for minus, plus in outs], [a, b], 1) * spread
-
-    ds = _discrepancies(patch, np.repeat(ins, [a, b], 1) * spread,
-                        lambda right, left: _gate_rows(g, right, left), outputs).tolist()
+    outs = _gate_rows(np.array([corrected_gate(patch.m, hh) for hh in hs]), ins[:, :1], ins[:, 1:])
+    ds = _discrepancies(patch, encode(ins), lambda right, left: _gate_rows(g, right, left),
+                        encode(outs[:, ::-1, 0])).tolist()
     order = None
     if min(ds) > 1e-14:
         ratios = [ds[0] / ds[1], ds[1] / ds[2]]

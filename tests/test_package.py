@@ -2,6 +2,7 @@
 compile cheaply, and the split of the spectral closed forms out of
 `linalg` keeps every name and every pickle that named `linalg`."""
 
+import ast
 import io
 import pickle
 import tokenize
@@ -21,7 +22,7 @@ MODULES = sorted(Path(dcquantum.__file__).parent.glob("*.py"))
 # array that doubles when full: past 4096 tokens the array grows to 8192
 # entries, which raised the operators benchmark's peak RSS by 0.08-0.11 MiB.
 # The budget leaves room below that cliff.
-TOKEN_BUDGET = 3500
+TOKEN_BUDGET = 3300
 
 
 def parser_tokens(path: Path) -> int:
@@ -60,6 +61,27 @@ def test_linalg_keeps_every_public_name():
             assert getattr(dcquantum, name) is getattr(spectral, name), name
     for cls in (DCVector, DCMatrix, linalg.OperatorKind):
         assert cls.__module__ == "dcquantum.linalg"
+
+
+def unused_imports(path: Path) -> list:
+    """The names a module imports and never reads."""
+    tree = ast.parse(path.read_bytes())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+# The package exports what it imports, and linalg re-exports the spectral
+# closed forms it defined before the split.
+REEXPORTS = {"__init__": set(dcquantum.__all__), "linalg": set(MOVED)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_every_name_it_imports(path):
+    unused = [n for n in unused_imports(path) if n not in REEXPORTS.get(path.stem, ())]
+    assert unused == [], f"{path.stem} imports {unused} and never reads them"
 
 
 # pickle.dumps(eig_hermitian(DCMatrix([[2.0]], [[0.5]]))) as written when

@@ -204,6 +204,32 @@ class TestUnitaryEdgeCases:
         assert np.abs(got - _phase_rates(theta, q, j)).max() <= 1e-14
         assert reconstruction_residual(spec, m) <= 1e-13
 
+    def test_degenerate_cluster_in_rate_order(self):
+        """Within a cluster the phases differ in their last bits only, so
+        the spectrum orders its eigenpairs by rate there, not by phase."""
+        rng = np.random.default_rng(0)
+        theta = np.array([0.4, 0.4, 0.4, -2.0, 1.5])
+        q = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        j = random_complex_hermitian(5, rng)
+        u = (q * np.exp(1j * theta)) @ q.conj().T
+        spec = eig_unitary(DCMatrix(u, 1j * j @ u))
+        lam = spec.values.sig
+        assert np.allclose(np.angle(lam), np.sort(theta), rtol=0, atol=1e-12)
+        rates = (spec.values.inf / (1j * lam)).real
+        assert np.all(np.diff(rates[1:4]) > 0), rates
+
+    def test_cluster_across_the_branch_cut_comes_first(self):
+        """Phases pi and -pi + 1e-10 form one cluster, which leads the
+        spectrum, in rate order, ahead of the phases between them."""
+        rng = np.random.default_rng(1)
+        u, d = _unitary_with_phases(np.array([np.pi, -np.pi + 1e-10, 0.3, -1.0]), rng)
+        spec = eig_unitary(DCMatrix(u, d))
+        lam = spec.values.sig
+        assert np.allclose(np.abs(np.angle(lam[:2])), np.pi, rtol=0, atol=1e-9)
+        assert np.allclose(np.angle(lam[2:]), [-1.0, 0.3], rtol=0, atol=1e-12)
+        rates = (spec.values.inf / (1j * lam)).real
+        assert rates[0] < rates[1], rates
+
 
 class TestLogUnitary:
     def test_log_identity_is_zero(self):
@@ -351,8 +377,7 @@ def _reference_eig_unitary(u_eps, delta=CLUSTER_DELTA):
     p1 = p @ _across_clusters(ids, 1j * lam[None, :] * h, lam[None, :] - lam[:, None])
 
     mu = np.real(np.diag(h))
-    theta = np.angle(lam)
-    order = np.lexsort((mu, theta))
+    order = np.lexsort((mu, ids))
     lam = lam[order]
     return DualSpectrum(DCVector(lam, 1j * lam * mu[order]), DCMatrix(p[:, order], p1[:, order]),
                         kind="unitary")
