@@ -4,13 +4,13 @@ Vectors and matrices are stored as a pair of complex numpy arrays
 (significant part, infinitesimal part); M = sig + eps*inf.  All ring
 operations combine the parts so that eps^2 terms never appear, hence
 first-order identities hold exactly up to floating point.  The spectral
-closed forms live in `spectral`; their public names are re-exported here.
+closed forms and the matrix exponential live in `spectral`; their public
+names are re-exported here.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,14 @@ from .scalar import TAU, DualComplex, DualNumber, DualReal, _leibniz
 REQUIRE_ATOL = 1e-8
 #: Max-norm defect within which a family is complete and a dual norm is 1 + 0eps.
 _COMPLETE_ATOL = 1e-9
+#: The eps-part of every array given none: read-only, viewed at each shape.
+_ZERO = np.zeros((), complex)
+_ZERO.setflags(write=False)
+
+
+def _zero(a: np.ndarray) -> np.ndarray:
+    """_ZERO broadcast to a's shape: zero strides, no n x n array."""
+    return np.broadcast_to(_ZERO, a.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +44,9 @@ class _DualArray:
     """sig + eps*inf over two equal-shape complex arrays of NDIM
     dimensions: the ring operations vectors and matrices share.  == is
     value equality (same type and shape, equal parts, NaN unequal as for
-    floats); the arrays are mutable types, so the values are unhashable."""
+    floats); the arrays are mutable types, so the values are unhashable.
+    Both parts are read-only; an eps-part given as None is a zero-strided
+    view of one shared zero, not a C-ordered array."""
 
     NDIM = 0
     # numpy operators defer to ours, so == against an ndarray is False, not an array
@@ -47,7 +57,7 @@ class _DualArray:
     def __post_init__(self):
         # defensive C-ordered copies of the caller's arrays
         sig = np.array(self.sig, dtype=complex, order="C")
-        self._own(sig, np.zeros(sig.shape, dtype=complex) if self.inf is None
+        self._own(sig, _zero(sig) if self.inf is None
                   else np.array(self.inf, dtype=complex, order="C"))
 
     def _own(self, sig, inf):
@@ -146,12 +156,13 @@ class DCMatrix(_DualArray):
 
     @staticmethod
     def identity(n: int) -> "DCMatrix":
-        return DCMatrix._owning(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
+        i = np.eye(n, dtype=complex)
+        return DCMatrix._owning(i, _zero(i))
 
     @staticmethod
     def zeros(rows: int, cols: int = None) -> "DCMatrix":
-        cols = rows if cols is None else cols
-        return DCMatrix._owning(*np.zeros((2, rows, cols), dtype=complex))
+        z = np.zeros((rows, rows if cols is None else cols), dtype=complex)
+        return DCMatrix._owning(z, _zero(z))
 
 
 class OperatorKind(enum.Enum):
@@ -279,100 +290,6 @@ def decompose_unitary(u_eps: DCMatrix):
 
 
 # ---------------------------------------------------------------------------
-# Matrix exponential
-# ---------------------------------------------------------------------------
-
-
-def mat_exp(a_eps: DCMatrix) -> DCMatrix:
-    """exp(A + eps B) = exp(A) + eps L_exp(A, B).
-
-    The infinitesimal part is the Frechet derivative of exp at A in
-    direction B.  When A is exactly Hermitian or anti-Hermitian, one
-    eigendecomposition A = Q diag(lam) Q^dag gives both parts in closed
-    form (Daleckii-Krein): e^A = Q e^lam Q^dag and
-    L(A, B) = Q (F o Q^dag B Q) Q^dag with the divided differences
-    F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), F_ii = e^lam_i.  Any other A
-    goes through `_mat_exp_taylor`, scaling and squaring in the ring.
-
-    Besides A + eps B, the closed form holds at most four n x n buffers
-    at once, the two of its result among them: one takes A^dag, then
-    -A^dag for the second test, then iA for eigh, and is dropped before
-    eigh of a Hermitian A; then Q and the two of the divided
-    differences; then the four of the assembly.
-    """
-    if a_eps.rows != a_eps.cols:
-        raise NonSquare("mat_exp needs a square matrix")
-    a = a_eps.sig
-    adj = _adjoint(a, np.empty_like(a))  # then -A^dag, then iA
-    if np.array_equal(adj, a):
-        del adj  # before eigh, which copies A
-        lam, q = np.linalg.eigh(a)
-    elif np.array_equal(np.negative(adj, out=adj), a):
-        w, q = np.linalg.eigh(np.multiply(1j, a, out=adj))  # iA is Hermitian, so lam = -i w
-        del adj
-        lam = -1j * w
-    else:
-        return _mat_exp_taylor(a_eps)
-    e = np.exp(lam)
-    return _daleckii_krein(q, e, _exp_divided_differences(lam, e), a_eps.inf)
-
-
-def _daleckii_krein(q: np.ndarray, fx: np.ndarray, f: np.ndarray, b: np.ndarray) -> DCMatrix:
-    """g(A) + eps L_g(A, B) for A = Q diag(x) Q^dag, Q unitary, given
-    fx = g(x) and the divided differences F of g at x, a C-ordered array:
-    Q diag(fx) Q^dag + eps Q (F o Q^dag B Q) Q^dag.  Q and F are
-    overwritten; four n x n buffers are live at once, Q and F among them."""
-    # Q (F o Q^dag B Q) Q^dag, then (Q fx) Q^dag, reusing n x n buffers:
-    # Q^dag is formed for the first product, and again once F has been
-    # used, in F's buffer when F is complex (a Hermitian A gives real F).
-    # No output aliases an input, and F o X keeps its form: numpy computes
-    # it in place into the product's temporary once that is large, in the
-    # operand order (X, F), and complex products are not commutative bit
-    # for bit under fused multiply-add.
-    t = q.conj().T @ b
-    inf = f * (t @ q)
-    qh = np.conjugate(q, out=f if f.dtype.kind == "c" else None).T
-    np.matmul(q, inf, out=t)
-    np.matmul(t, qh, out=inf)
-    np.matmul(np.multiply(q, fx, out=t), qh, out=q)
-    return DCMatrix._owning(q, inf)
-
-
-def _exp_divided_differences(lam: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), and e^lam_i where
-    the two coincide, as e^hi expm1(lo - hi) / (lo - hi) with hi the one
-    of larger real part: no cancellation, and no overflow while e^hi is
-    finite.  Two n x n buffers: lo - hi, which then takes e^hi and F, and
-    the ratio."""
-    swap = lam.real[:, None] < lam.real[None, :]
-    d = lam[:, None] - lam[None, :]
-    np.negative(d, out=d, where=~swap)  # lo - hi
-    same = d == 0
-    d[same] = 1.0
-    ratio = np.expm1(d)
-    np.divide(ratio, d, out=ratio)
-    ratio[same] = 1.0
-    np.copyto(d, e[:, None])
-    np.copyto(d, e[None, :], where=swap)  # e^hi
-    return np.multiply(d, ratio, out=d)
-
-
-def _mat_exp_taylor(a_eps: DCMatrix) -> DCMatrix:
-    """Horner's rule on the degree-18 Taylor series of X = 2^-s (A + eps B),
-    2^s > ||A||_1, then s squarings (Moler & Van Loan, method 3).  Every
-    product is dual, so the eps-part is L(A, B) (Al-Mohy & Higham 2009);
-    both parts truncate below 1/18!, and a zero or NaN norm gives s = 0."""
-    s = max(0, math.frexp(float(np.abs(a_eps.sig).sum(axis=0).max()))[1])
-    x = a_eps.scale(2.0 ** -s)
-    one = r = DCMatrix.identity(a_eps.rows)
-    for k in range(18, 0, -1):
-        r = one + (x @ r).scale(1.0 / k)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
-# ---------------------------------------------------------------------------
 # Stinespring dilation
 # ---------------------------------------------------------------------------
 
@@ -467,4 +384,5 @@ from .spectral import (  # noqa: E402
     eig_hermitian,
     eig_unitary,
     log_unitary,
+    mat_exp,
 )

@@ -39,12 +39,12 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     kron,
-    mat_exp,
     norm_sq,
     residual,
     vnorm,
 )
 from .scalar import EPS, TAU, DualReal
+from .spectral import _scaled_exp
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,9 @@ def schrodinger_step(s: QuantumState, h_eps: DCMatrix, dt: float) -> QuantumStat
     The propagator is built and checked once, then reused while the same
     H_eps object and the same bits of -i dt repeat (Moler & Van Loan
     2003); so dt = 0.0 and -0.0 are two keys, and a failed check is never
-    kept.  The dimension check runs on every call."""
+    kept.  The dimension check runs on every call.  It is built from
+    H_eps's parts, -i dt H in the buffer eigh reads and -i dt V after, with
+    the bits of mat_exp(h_eps.scale(-1j * dt)) but no dual copy of it."""
     global _propagator
     w = -1j * dt
     bits = np.asarray(w)
@@ -144,9 +146,9 @@ def schrodinger_step(s: QuantumState, h_eps: DCMatrix, dt: float) -> QuantumStat
         return QuantumState(u_eps @ s.vec)
     if not is_hermitian(h_eps, REQUIRE_ATOL):
         raise NotHermitian("schrodinger_step requires a Hermitian generator")
-    u_eps = mat_exp(h_eps.scale(w))
+    u_eps = _scaled_exp(h_eps, w)
     s = evolve(s, u_eps)
-    if key is not None:
+    if key:  # None, or the bytes of a complex: never empty
         _propagator = (weakref.ref(h_eps), key, u_eps)
     return s
 

@@ -265,9 +265,10 @@ def write_trajectory_csv(snapshots, path: str) -> WalkState | None:
             arrays = (snap.plus.sig, snap.plus.inf, snap.minus.sig, snap.minus.inf)
             for start in range(0, n, _ROWS_PER_PIECE):
                 stop = min(start + _ROWS_PER_PIECE, n)
-                w0, w1, w2, w3 = (a[start:stop].view(np.uint64) for a in arrays)
-                bits = w0 | w1 | w2 | w3  # each row's re word, then its im word
-                live = np.flatnonzero(bits[0::2] | bits[1::2])
+                # each row's re and im words, also for a zero-strided part
+                w0, w1, w2, w3 = (a[start:stop, None].view(np.uint64) for a in arrays)
+                bits = w0 | w1 | w2 | w3
+                live = np.flatnonzero(bits[:, 0] | bits[:, 1])
                 k = start // _ROWS_PER_PIECE
                 head = f"{t},{k}" if k else t
                 piece = (later if k else first)[:stop - start]

@@ -3,13 +3,14 @@
 First-order eigenpairs of Hermitian and unitary dual operators (eigenvalue
 and eigenvector corrections from the sig-part's spectrum, degenerate
 clusters diagonalized by the eps-part; a unitary's eigenbasis from its
-Cayley transform), the anti-Hermitian logarithm of a dual unitary, and the
-appreciable-semipositivity check.  The ring itself, and the Daleckii-Krein
-assembly shared with `mat_exp`, live in `linalg`.
+Cayley transform), the anti-Hermitian logarithm of a dual unitary and the
+exponential it inverts, which share one Daleckii-Krein assembly, and the
+appreciable-semipositivity check.  The ring itself lives in `linalg`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,11 @@ from .linalg import (
     REQUIRE_ATOL,
     DCMatrix,
     DCVector,
-    _daleckii_krein,
+    _adjoint,
     decompose_unitary,
     is_hermitian,
 )
-from .scalar import TAU, DualReal, _leibniz
+from .scalar import TAU, DualNumber, DualReal, _leibniz
 
 #: Eigenvalue clustering threshold for degenerate-subspace detection.
 CLUSTER_DELTA = 1e-8
@@ -174,6 +175,131 @@ def log_unitary(u_eps: DCMatrix) -> DCMatrix:
     x = 0.5 * (theta[:, None] - theta[None, :])
     f = np.exp(-0.5j * (theta[:, None] + theta[None, :])) / np.sinc(x / np.pi)
     return _daleckii_krein(q, 1j * theta, f, u_eps.inf)
+
+
+# ---------------------------------------------------------------------------
+# Matrix exponential
+# ---------------------------------------------------------------------------
+
+
+def mat_exp(a_eps: DCMatrix) -> DCMatrix:
+    """exp(A + eps B) = exp(A) + eps L_exp(A, B).
+
+    The infinitesimal part is the Frechet derivative of exp at A in
+    direction B.  When A is exactly Hermitian or anti-Hermitian, one
+    eigendecomposition A = Q diag(lam) Q^dag gives both parts in closed
+    form (Daleckii-Krein): e^A = Q e^lam Q^dag and
+    L(A, B) = Q (F o Q^dag B Q) Q^dag with the divided differences
+    F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), F_ii = e^lam_i.  Any other A
+    goes through `_mat_exp_taylor`, scaling and squaring in the ring.
+
+    Besides A + eps B, the closed form holds at most four n x n buffers
+    at once, the two of its result among them: one takes A^dag, then
+    -A^dag for the second test, then iA for eigh, and is dropped before
+    eigh of a Hermitian A; then Q and the two of the divided
+    differences; then the four of the assembly.
+    """
+    return _scaled_exp(a_eps, None)
+
+
+def _scaled_exp(m: DCMatrix, w) -> DCMatrix:
+    """exp(w m): mat_exp(m.scale(w)) bit for bit, with its products in its
+    operand order, and mat_exp(m) for w None; a dual w scales m first.
+    A complex w makes no scaled copy.  A = w m.sig takes one buffer,
+    which holds iA while eigh reads it (the adjoint's buffer is dropped
+    before) and then the direction B = w m.inf: one n x n buffer besides
+    m while eigh runs, where m.scale(w) and the adjoint held three."""
+    if isinstance(w, DualNumber):
+        m, w = m.scale(w), None
+    if m.rows != m.cols:
+        raise NonSquare("mat_exp needs a square matrix")
+    a = m.sig if w is None else np.multiply(w, m.sig)
+    adj = _adjoint(a, np.empty_like(a))  # then -A^dag, then iA when A is m's
+    anti = not np.array_equal(adj, a)
+    if anti and not np.array_equal(np.negative(adj, out=adj), a):
+        return _mat_exp_taylor(m if w is None else m.scale(w))
+    # iA is Hermitian, so lam = -i x
+    h = np.multiply(1j, a, out=adj if w is None else a) if anti else a
+    del adj  # before eigh, which copies h
+    x, q = np.linalg.eigh(h)
+    del h
+    lam = -1j * x if anti else x
+    e = np.exp(lam)
+    b = m.inf if w is None else np.multiply(w, m.inf, out=a)
+    return _daleckii_krein(q, e, _exp_divided_differences(lam, e), b)
+
+
+def _daleckii_krein(q: np.ndarray, fx: np.ndarray, f: np.ndarray, b: np.ndarray) -> DCMatrix:
+    """g(A) + eps L_g(A, B) for A = Q diag(x) Q^dag, Q unitary, given
+    fx = g(x) and the divided differences F of g at x, a C-ordered array:
+    Q diag(fx) Q^dag + eps Q (F o Q^dag B Q) Q^dag.  Q and F are
+    overwritten; four n x n buffers are live at once, Q and F among them."""
+    # Q (F o Q^dag B Q) Q^dag, then (Q fx) Q^dag, reusing n x n buffers:
+    # Q^dag is formed for the first product, and again once F has been
+    # used, in F's buffer when F is complex (a Hermitian A gives real F).
+    # No output aliases an input, and F o X keeps its form: numpy computes
+    # it in place into the product's temporary once that is large, in the
+    # operand order (X, F), and complex products are not commutative bit
+    # for bit under fused multiply-add.
+    t = q.conj().T @ b
+    inf = f * (t @ q)
+    qh = np.conjugate(q, out=f if f.dtype.kind == "c" else None).T
+    np.matmul(q, inf, out=t)
+    np.matmul(t, qh, out=inf)
+    np.matmul(np.multiply(q, fx, out=t), qh, out=q)
+    return DCMatrix._owning(q, inf)
+
+
+def _exp_divided_differences(lam: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), and e^lam_i where
+    the two coincide, as e^hi expm1(lo - hi) / (lo - hi) with hi the one
+    of larger real part: no cancellation, and no overflow while e^hi is
+    finite.  Two n x n buffers: lo - hi, which then takes e^hi and F, and
+    the ratio."""
+    swap = lam.real[:, None] < lam.real[None, :]
+    d = lam[:, None] - lam[None, :]
+    np.negative(d, out=d, where=~swap)  # lo - hi
+    same = d == 0
+    d[same] = 1.0
+    ratio = np.expm1(d)
+    np.divide(ratio, d, out=ratio)
+    ratio[same] = 1.0
+    np.copyto(d, e[:, None])
+    np.copyto(d, e[None, :], where=swap)  # e^hi
+    return np.multiply(d, ratio, out=d)
+
+
+def _mat_exp_taylor(a_eps: DCMatrix) -> DCMatrix:
+    """Horner's rule on the degree-18 Taylor series of X = 2^-s (A + eps B),
+    2^s > ||A||_1, then s squarings (Moler & Van Loan, method 3).  Every
+    product is dual, so the eps-part is L(A, B) (Al-Mohy & Higham 2009);
+    both parts truncate below 1/18!, and a zero or NaN norm gives s = 0.
+    Each product goes into buffers that the one before has freed, with
+    the ring's operands in the ring's order: five n x n buffers, X's two
+    among them."""
+    s = max(0, math.frexp(float(np.abs(a_eps.sig).sum(axis=0).max()))[1])
+    x = a_eps.scale(2.0 ** -s)
+    n = a_eps.rows
+    r, t = (np.eye(n, dtype=complex), np.zeros((n, n), complex)), np.empty((n, n), complex)
+    for k in range(18, 0, -1):
+        r, t = _dual_matmul(x.sig, x.inf, *r, t, r[1]), r[0]
+        for p in r:  # I + (X R) / k: I's zeros turn -0.0 to +0.0
+            np.multiply(1.0 / k, p, out=p)
+            p += 0
+        r[0].flat[::n + 1] += 1
+    del x
+    for _ in range(s):
+        r, t = _dual_matmul(*r, *r, t, np.empty_like(t)), r[0]
+    return DCMatrix._owning(*r)
+
+
+def _dual_matmul(x0, x1, r0, r1, t, u):
+    """The (sig, inf) parts of (x0 + eps x1)(r0 + eps r1) in `_leibniz`'s
+    operand order: x0 r1 + x1 r0 into t, then x0 r0 into u, which may be
+    r1 unless x1 is."""
+    np.matmul(x0, r1, out=t)
+    np.add(t, np.matmul(x1, r0, out=u), out=t)
+    return np.matmul(x0, r0, out=u), t
 
 
 # ---------------------------------------------------------------------------

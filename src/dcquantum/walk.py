@@ -180,8 +180,9 @@ _NEGATIVE_ZERO = np.uint64(1 << 63)  # the bits of -0.0
 
 def _arc(a: np.ndarray):
     """(start, length) of the span from the first to the last entry of a
-    with a set bit, -0.0 and NaN included; (0, 0) when there is none."""
-    live = np.flatnonzero(a.view(np.uint64)) // 2
+    with a set bit, -0.0 and NaN included; (0, 0) when there is none.
+    Each entry's two words are a row, so a zero-strided a is read in place."""
+    live = np.nonzero(a[:, None].view(np.uint64))[0]
     if not len(live):
         return 0, 0
     return int(live[0]), int(live[-1] - live[0] + 1)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 import tracemalloc
 import warnings
@@ -40,8 +41,8 @@ from dcquantum.linalg import (
     residual,
     vnorm,
 )
-from dcquantum import linalg
-from dcquantum.quantum import Measurement, normalize
+from dcquantum import linalg, quantum, spectral
+from dcquantum.quantum import Measurement, normalize, schrodinger_step
 from dcquantum.scalar import DualComplex, DualReal
 from dcquantum.walk import point_source, run
 
@@ -270,7 +271,7 @@ class TestMatExpTaylor:
         # mat_exp takes eigh at A = 0; the series there has s = 0 and is I + eps B
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         for e in (mat_exp(DCMatrix(np.zeros((4, 4)), b)),
-                  linalg._mat_exp_taylor(DCMatrix(np.zeros((4, 4)), b))):
+                  spectral._mat_exp_taylor(DCMatrix(np.zeros((4, 4)), b))):
             assert np.array_equal(e.sig, np.eye(4)) and np.array_equal(e.inf, b)
 
     def test_nan_entry_gives_nan(self):
@@ -505,7 +506,7 @@ def _allocating_mat_exp(a_eps):
         w, q = np.linalg.eigh(1j * a)
         lam = -1j * w
     else:
-        return linalg._mat_exp_taylor(a_eps)
+        return spectral._mat_exp_taylor(a_eps)
     e = np.exp(lam)
     swap = lam.real[:, None] < lam.real[None, :]
     e_hi = np.where(swap, e[None, :], e[:, None])
@@ -520,6 +521,17 @@ def _allocating_mat_exp(a_eps):
     t = qh @ b
     inf = f * (t @ q)  # numpy computes this in place into t @ q once that is large
     return DCMatrix((q * e) @ qh, q @ inf @ qh)
+
+
+def _allocating_mat_exp_taylor(a_eps):
+    s = max(0, math.frexp(float(np.abs(a_eps.sig).sum(axis=0).max()))[1])
+    x = a_eps.scale(2.0 ** -s)
+    one = r = DCMatrix(np.eye(a_eps.rows), np.zeros(a_eps.shape))
+    for k in range(18, 0, -1):
+        r = one + (x @ r).scale(1.0 / k)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 #: signed zeros, NaN, infinities and a subnormal, beside moderate values
@@ -610,6 +622,16 @@ class TestBufferedChecksBitIdentical:
     def test_mat_exp(self, a_eps):
         assert _outcome(mat_exp, a_eps) == _outcome(_allocating_mat_exp, a_eps)
 
+    @given(st.integers(1, 6).flatmap(lambda n: _edge_parts(n, n)),
+           st.sampled_from([1.0, 0.5, 8.0, 300.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_mat_exp_taylor(self, a_eps, size):
+        # scaled so that the squarings run from none up to about ten
+        with np.errstate(invalid="ignore"):  # inf * 0j
+            a_eps = DCMatrix(size * a_eps.sig, a_eps.inf)
+        assert (_outcome(spectral._mat_exp_taylor, a_eps)
+                == _outcome(_allocating_mat_exp_taylor, a_eps))
+
     @pytest.mark.parametrize("n", [127, 128, 129])
     def test_mat_exp_either_side_of_numpy_temporary_elision(self, n, rng):
         # from 128 x 128 up numpy multiplies F o X into X's temporary, in
@@ -667,6 +689,59 @@ class TestBufferBudget:
     def test_mat_exp_of_a_hermitian_generator(self, rng):
         # real divided differences cannot hold Q^dag, so one more buffer
         assert self.buffers(mat_exp, random_dc_hermitian(self.N, rng)) <= 5.25
+
+    def test_mat_exp_taylor_holds_five(self, rng):
+        # X, R and one spare through Horner's rule, then R and two spares
+        # per squaring (the allocating loop peaks at 10)
+        g = rng.standard_normal((4, self.N, self.N))
+        a_eps = DCMatrix(g[0] + 1j * g[1], g[2] + 1j * g[3])
+        assert self.buffers(spectral._mat_exp_taylor, a_eps) <= 5.25
+
+    def test_an_eps_free_matrix_holds_one_buffer(self, rng):
+        # its sig-part; the eps-part is a zero-strided view (two before)
+        h = random_complex_hermitian(self.N, rng)
+        assert self.buffers(DCMatrix, h) <= 1.125
+        assert DCMatrix(h).inf.strides == (0, 0)
+
+    def test_a_measurement_of_eps_free_operators_keeps_two_buffers(self, rng):
+        # {P, I - P} as the benchmark's Schrodinger driver builds it (four before)
+        p = np.diag(rng.integers(0, 2, self.N)).astype(complex)
+        q = np.eye(self.N) - p
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m = Measurement((DCMatrix(p), DCMatrix(q)))
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert kept / (self.N * self.N * 16) <= 2.125
+        assert m.operators[1] == DCMatrix(q, np.zeros_like(q))
+
+    def test_first_schrodinger_step_holds_one_buffer_while_eigh_runs(self, rng, monkeypatch):
+        # eigh's copy of its input and LAPACK's workspace, which tracemalloc
+        # does not see, come on top of what is held then: -i dt H alone,
+        # where H.scale(-1j * dt) and the adjoint held three.  The step's
+        # peak is then set by evolve's unitarity check of the propagator.
+        s = normalize(random_dc_vector(self.N, rng))
+        h = random_dc_hermitian(self.N, rng)
+        monkeypatch.setattr(quantum, "_propagator", (None, None, None))
+        held, eigh = [], np.linalg.eigh
+
+        def recording(a):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            schrodinger_step(s, h, 0.05)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = self.N * self.N * 16
+        assert len(held) == 1 and held[0] / size <= 1.125
+        assert peak / size <= 6.375  # 6.5 before
 
 
 class TestRingResultsOwnTheirArrays:

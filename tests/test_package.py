@@ -40,7 +40,7 @@ def test_module_stays_below_the_token_budget(path):
 
 
 # Public names defined in dcquantum.linalg before the spectral closed
-# forms moved to dcquantum.spectral.
+# forms and the matrix exponential moved to dcquantum.spectral.
 LINALG_NAMES = [
     "CLUSTER_DELTA", "DCMatrix", "DCVector", "DualSpectrum", "OperatorKind",
     "REQUIRE_ATOL", "SemipositivityReport", "check_appreciably_semipositive",
@@ -50,7 +50,8 @@ LINALG_NAMES = [
     "stinespring", "vnorm",
 ]
 MOVED = ["CLUSTER_DELTA", "DualSpectrum", "SemipositivityReport",
-         "check_appreciably_semipositive", "eig_hermitian", "eig_unitary", "log_unitary"]
+         "check_appreciably_semipositive", "eig_hermitian", "eig_unitary", "log_unitary",
+         "mat_exp"]
 
 
 def test_linalg_keeps_every_public_name():
@@ -74,7 +75,7 @@ def unused_imports(path: Path) -> list:
 
 
 # The package exports what it imports, and linalg re-exports the spectral
-# closed forms it defined before the split.
+# closed forms and the exponential it defined before they moved.
 REEXPORTS = {"__init__": set(dcquantum.__all__), "linalg": set(MOVED)}
 
 

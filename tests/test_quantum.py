@@ -5,12 +5,14 @@ operators and dual-complex operators."""
 import gc
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     embed,
@@ -21,7 +23,7 @@ from conftest import (
     random_dc_vector,
     unembed,
 )
-from dcquantum import linalg, quantum
+from dcquantum import linalg, quantum, spectral
 from dcquantum.errors import (
     DimMismatch,
     IncompleteFamily,
@@ -232,7 +234,7 @@ class TestPropagatorMemo:
     def counts(self, monkeypatch):
         """Calls of the propagator and of the two checks, by name."""
         counts = {}
-        for name in ("mat_exp", "is_hermitian", "is_unitary"):
+        for name in ("_scaled_exp", "is_hermitian", "is_unitary"):
             def counting(*args, _f=getattr(quantum, name), _name=name):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _f(*args)
@@ -270,7 +272,7 @@ class TestPropagatorMemo:
         for h, dt in [(h1, 0.05), (h2, 0.05), (h2, 0.1), (h1, 0.05)]:
             for _ in range(30):
                 s = schrodinger_step(s, h, dt)
-        assert counts == {"mat_exp": 4, "is_hermitian": 4, "is_unitary": 4}
+        assert counts == {"_scaled_exp": 4, "is_hermitian": 4, "is_unitary": 4}
 
     @pytest.mark.parametrize("pair", [(0.0, -0.0), (np.float32(0.05), 0.05),
                                       (np.float32(0.05), float(np.float32(0.05)))],
@@ -280,7 +282,7 @@ class TestPropagatorMemo:
         s = normalize(random_dc_vector(3, rng))
         for dt in pair * 3:
             s = schrodinger_step(s, h, dt)
-        assert counts["mat_exp"] == 6
+        assert counts["_scaled_exp"] == 6
 
     def test_a_dual_dt_is_never_kept(self, counts, rng):
         # -i dt is then a DualComplex, which has no bits to key on
@@ -290,7 +292,7 @@ class TestPropagatorMemo:
             dt = DualComplex(0.05, 0.0)
             s, want = schrodinger_step(s, h, dt), chain_step(want, h, dt)
             assert same_bits(s, want)
-        assert counts["mat_exp"] == 3
+        assert counts["_scaled_exp"] == 3
 
     def test_non_hermitian_raises_on_every_call(self, counts, rng):
         bad = DCMatrix(1j * SX)
@@ -306,16 +308,16 @@ class TestPropagatorMemo:
         for _ in range(3):
             with pytest.raises(NotUnitary):
                 schrodinger_step(ket(2, 0), h, float("nan"))
-        assert counts["mat_exp"] == 3 and counts["is_unitary"] == 3
+        assert counts["_scaled_exp"] == 3 and counts["is_unitary"] == 3
 
     def test_dim_mismatch_after_a_hit(self, counts, rng):
         h = random_dc_hermitian(2, rng)
         s = schrodinger_step(schrodinger_step(ket(2, 0), h, 0.1), h, 0.1)
-        assert counts["mat_exp"] == 1
+        assert counts["_scaled_exp"] == 1
         with pytest.raises(DimMismatch, match=r"operator \(2, 2\) on state of dim 3"):
             schrodinger_step(ket(3, 0), h, 0.1)
         assert same_bits(schrodinger_step(s, h, 0.1), chain_step(s, h, 0.1))
-        assert counts["mat_exp"] == 1
+        assert counts["_scaled_exp"] == 1
 
     def test_hamiltonian_is_freed_and_unchanged(self, rng):
         h = random_dc_hermitian(3, rng)
@@ -326,6 +328,112 @@ class TestPropagatorMemo:
         del h
         gc.collect()
         assert held() is None
+
+
+def _bits(a) -> bytes:
+    """The bytes of a ring value's parts, of a dual scalar's, or of None."""
+    if a is None:
+        return b""
+    return np.asarray(a.sig).tobytes() + np.asarray(a.inf).tobytes()
+
+
+#: signed zeros and subnormals, whose products with -i dt can underflow to
+#: zeros of either sign, beside moderate values
+_STEP_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -0.5]) | st.floats(-4.0, 4.0)
+
+
+def _exactly_hermitian(draw, n):
+    """A Hermitian n x n array whose lower triangle conjugates its upper
+    one entry by entry, so that a -0.0 keeps its sign."""
+    x = draw(hnp.arrays(np.float64, (n, n, 2), elements=_STEP_ENTRIES)).view(complex)[..., 0]
+    h = np.where(np.tri(n, k=-1, dtype=bool), x.conj().T, x)
+    np.fill_diagonal(h, x.diagonal().real)
+    return h
+
+
+@st.composite
+def _schrodinger_cases(draw):
+    """(H + eps V, dt): H exactly Hermitian, or all zeros, or Hermitian only
+    within REQUIRE_ATOL (a tilted entry: -i dt H then takes the series);
+    V exactly Hermitian; dt of either sign, signed zeros included."""
+    n = draw(st.integers(1, 5))
+    h = draw(st.sampled_from(["exact", "zero", "tilted"]))
+    sig = np.zeros((n, n)) if h == "zero" else _exactly_hermitian(draw, n)
+    if h == "tilted":
+        sig[0, -1] += 1e-10
+    dt = draw(st.sampled_from([0.0, -0.0, 0.05, -0.37, 1e-300, 2.5]) | st.floats(-3.0, 3.0))
+    return DCMatrix(sig, _exactly_hermitian(draw, n)), dt
+
+
+class TestPropagatorWithoutScaledCopy:
+    """schrodinger_step forms exp(-i dt H_eps) from H_eps's parts, with no
+    dual copy of -i dt H_eps; its bits are those of the dual copy's mat_exp."""
+
+    @given(_schrodinger_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_propagator_is_mat_exp_of_the_scaled_generator(self, case):
+        h, dt = case
+        quantum._propagator = (None, None, None)
+        with warnings.catch_warnings(), mock.patch.object(quantum, "evolve",
+                                                          wraps=quantum.evolve) as evolved:
+            warnings.simplefilter("ignore", RuntimeWarning)  # subnormal products
+            want = mat_exp(h.scale(-1j * dt))
+            try:
+                schrodinger_step(ket(h.rows, 0), h, dt)
+            except NotUnitary:
+                # eigenvalues a subnormal apart give a NaN eps-part, in
+                # the dual copy's propagator too
+                assert not linalg.is_unitary(want, linalg.REQUIRE_ATOL)
+            else:
+                assert quantum._propagator[0]() is h
+        assert _bits(evolved.call_args.args[1]) == _bits(want)
+
+    @pytest.mark.parametrize("dt", [0.05, -0.0])
+    def test_a_generator_hermitian_within_tolerance_takes_the_series(self, dt, monkeypatch, rng):
+        h = random_dc_hermitian(6, rng)
+        h = DCMatrix(h.sig + np.eye(6, k=1) * 1e-10, h.inf)
+        series = []
+        monkeypatch.setattr(spectral, "_mat_exp_taylor",
+                            lambda m, _f=spectral._mat_exp_taylor: series.append(m) or _f(m))
+        monkeypatch.setattr(quantum, "_propagator", (None, None, None))
+        schrodinger_step(ket(6, 0), h, dt)
+        want = mat_exp(h.scale(-1j * dt))
+        assert len(series) == 2 * (dt != 0)  # -i dt H is 0 at dt = 0, so Hermitian
+        assert _bits(quantum._propagator[2]) == _bits(want)
+
+
+@st.composite
+def _eps_free_families(draw):
+    """The operators of a complete family without eps-parts: the row blocks
+    of a random isometry, or a diagonal projector and its complement."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return tuple(np.diag(d).astype(complex) for d in
+                     (lambda p: (p, 1.0 - p))(rng.integers(0, 2, n).astype(float)))
+    q = np.linalg.qr(rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n)))[0]
+    return q[:n], q[n:]
+
+
+class TestEpsFreeOperators:
+    """An operator given without an eps-part holds a zero-strided view of
+    one zero; measuring with it gives the bits explicit zeros give."""
+
+    @given(_eps_free_families(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_measure_as_with_explicit_zeros(self, ops, data):
+        n = ops[0].shape[1]
+        parts = [data.draw(hnp.arrays(np.float64, (n, 2), elements=_STEP_ENTRIES))
+                 .view(complex)[:, 0] for _ in range(2)]
+        assume(np.linalg.norm(parts[0]) > 1e-3)
+        s = normalize(DCVector(*parts))
+        free = Measurement(tuple(DCMatrix(op) for op in ops))
+        explicit = Measurement(tuple(DCMatrix(op, np.zeros_like(op)) for op in ops))
+        assert all(op.inf.strides == (0, 0) for op in free.operators)
+        got, want = measure(s, free), measure(s, explicit)
+        assert ([(o.label, _bits(o.probability), _bits(o.post and o.post.vec)) for o in got]
+                == [(o.label, _bits(o.probability), _bits(o.post and o.post.vec))
+                    for o in want])
 
 
 class TestMeasure:

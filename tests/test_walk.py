@@ -30,6 +30,7 @@ from dcquantum.walk import (
 )
 from dcquantum.linalg import DCVector
 from dcquantum.cli import main
+from dcquantum.serialize import write_trajectory_csv
 from dcquantum import walk as walk_module
 
 
@@ -481,6 +482,27 @@ class TestSparseSupport:
         # at m = -0.0 the source's product is -0j: a set bit, but
         # subtracting it from the +0+0j accumulator changes nothing
         assert spans == [0, 0 if m == 0 and math.copysign(1, m) > 0 else 1]
+
+
+class TestEpsFreeParts:
+    """A DCVector given no eps-part holds a zero-strided view of one zero:
+    the walk's bit scans and the CSV writer read it in place, as the
+    explicit zeros it stands for."""
+
+    @pytest.mark.parametrize("m", [0.7, -0.0, math.inf])
+    def test_walks_and_writes_as_explicit_zeros(self, m, tmp_path):
+        n = 1500  # two pieces of rows in the writer
+        sig = np.zeros((2, n), complex)
+        sig[0, 990:1010] = np.linspace(-1.0, 1.0, 20) + 0.5j
+        sig[1, [3, 1200]] = complex(-0.0, 1.0), complex(0.25, -0.0)
+        free = WalkState(DCVector(sig[0]), DCVector(sig[1]))
+        explicit = WalkState(DCVector(sig[0], np.zeros(n)), DCVector(sig[1], np.zeros(n)))
+        assert free.plus.inf.strides == free.minus.inf.strides == (0,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # an infinite mass makes NaN
+            for w, name in ((free, "free.csv"), (explicit, "explicit.csv")):
+                write_trajectory_csv(run(w, m, 40, 7), str(tmp_path / name))
+        assert (tmp_path / "free.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
 
 
 class TestContinuumResidual:
