@@ -48,6 +48,12 @@ def _require(ok: bool, message: str) -> None:
         raise _UsageError(message)
 
 
+def _require_mass_step(mass: float, h: float, step: str) -> None:
+    """|mass| times the step h, which `step` names, must be a float: the
+    gates take the cosine and sine of their product."""
+    _require(math.isfinite(mass * h), f"--mass {mass!r} times {step} overflows a float")
+
+
 def _write(writer, obj, path: str):
     """writer(obj, path); an --out path that cannot be written is a
     usage error naming it and the OS reason."""
@@ -114,6 +120,8 @@ def cmd_check(args) -> int:
         _require(math.isfinite(args.mass), "--mass must be finite")
         _require(args.mode == "dual" or 0 < args.h < math.inf,
                  "--h must be finite and > 0 with --mode corrected")
+        if args.mode == "corrected":
+            _require_mass_step(args.mass, args.h, f"--h {args.h!r}")
         patch = lorentz_encodings(args.alpha, args.beta, args.mass)
         mode = "dual_exact" if args.mode == "dual" else "corrected"
         rng = np.random.default_rng(args.seed)
@@ -241,6 +249,8 @@ def cmd_convergence(args) -> int:
     if args.walk:
         _require(min(args.sites) >= 1, "--sites must be >= 1")
         _require(args.wavenumber.is_integer(), "--wavenumber must be an integer")
+        for n in args.sites:
+            _require_mass_step(args.mass, 2.0 * math.pi / n, f"the lattice spacing 2*pi/{n}")
         results = []
         for n in args.sites:
             err, h, t_end = walk_vs_continuum_error(n, k=args.wavenumber, m=args.mass)
@@ -249,6 +259,8 @@ def cmd_convergence(args) -> int:
     else:
         _require(all(0 < h < math.inf for h in args.h_list),
                  "--h-list values must be finite and > 0")
+        for h in args.h_list:
+            _require_mass_step(args.mass, h, f"--h-list value {h!r}")
         errors = [_gate_residual(h, args.mass) for h in args.h_list]
         results = [{"h": h, "residual": r} for h, r in zip(args.h_list, errors)]
 

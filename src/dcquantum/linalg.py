@@ -23,7 +23,7 @@ from .errors import (
     NonSquare,
     NotUnitary,
 )
-from .scalar import TAU, DualComplex, DualNumber, DualReal, _leibniz
+from .scalar import TAU, DualComplex, DualNumber, DualReal, _leibniz, _ring_op
 
 #: Residual up to which an input that must be unitary or Hermitian is taken as one.
 REQUIRE_ATOL = 1e-8
@@ -90,11 +90,17 @@ class _DualArray:
     def __getitem__(self, index) -> DualComplex:
         return DualComplex(self.sig[index], self.inf[index])
 
-    def __add__(self, other):
-        return type(self)._owning(self.sig + other.sig, self.inf + other.inf)
+    def _operand(self, other):
+        """other if it is of self's type and shape: another type is
+        NotImplemented, another shape a DimMismatch."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.sig.shape != self.sig.shape:
+            raise DimMismatch(f"{type(self).__name__} {self.sig.shape} and {other.sig.shape}")
+        return other
 
-    def __sub__(self, other):
-        return type(self)._owning(self.sig - other.sig, self.inf - other.inf)
+    __add__ = _ring_op(lambda a, b: type(a)._owning(a.sig + b.sig, a.inf + b.inf))
+    __sub__ = _ring_op(lambda a, b: type(a)._owning(a.sig - b.sig, a.inf - b.inf))
 
     def __neg__(self):
         return type(self)._owning(-self.sig, -self.inf)
@@ -146,8 +152,8 @@ class DCMatrix(_DualArray):
         """Product with a matrix or a vector, of the operand's type."""
         if not isinstance(other, _DualArray):
             return NotImplemented
-        if isinstance(other, DCVector) and self.cols != other.dim:
-            raise DimMismatch(f"{self.shape} @ vector of dim {other.dim}")
+        if self.cols != len(other.sig):
+            raise DimMismatch(f"{self.shape} @ {other.sig.shape}")
         return type(other)._owning(*_leibniz(np.matmul, self, other))
 
     def adjoint(self) -> "DCMatrix":

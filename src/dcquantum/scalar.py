@@ -53,6 +53,17 @@ def _leibniz(f, a, b):
     return f(a.sig, b.sig), f(a.sig, b.inf) + f(a.inf, b.sig)
 
 
+def _ring_op(f):
+    """The binary operation f(self, other) on the operand as self's
+    family takes it (`_operand`), or NotImplemented where it takes none."""
+
+    def op(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is NotImplemented else f(self, other)
+
+    return op
+
+
 @dataclass(frozen=True, eq=False)
 class DualNumber:
     """sig + inf*eps: the ring operations DualComplex and DualReal share.
@@ -70,46 +81,21 @@ class DualNumber:
         object.__setattr__(self, "sig", self._PART(self.sig))
         object.__setattr__(self, "inf", self._PART(self.inf))
 
-    def __add__(self, other):
-        other = other if type(other) is type(self) else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return type(self)(self.sig + other.sig, self.inf + other.inf)
+    def _operand(self, other):
+        return other if type(other) is type(self) else self._coerce(other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = other if type(other) is type(self) else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return type(self)(self.sig - other.sig, self.inf - other.inf)
-
-    def __rsub__(self, other):
-        other = other if type(other) is type(self) else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return type(self)(other.sig - self.sig, other.inf - self.inf)
-
-    def __neg__(self):
-        return type(self)(-self.sig, -self.inf)
-
-    def __eq__(self, other):
-        other = other if type(other) is type(self) else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.sig == other.sig and self.inf == other.inf
+    __add__ = __radd__ = _ring_op(lambda a, b: type(a)(a.sig + b.sig, a.inf + b.inf))
+    __sub__ = _ring_op(lambda a, b: type(a)(a.sig - b.sig, a.inf - b.inf))
+    __rsub__ = _ring_op(lambda a, b: type(a)(b.sig - a.sig, b.inf - a.inf))
+    __mul__ = __rmul__ = _ring_op(lambda a, b: type(a)(*_leibniz(operator.mul, a, b)))
+    __eq__ = _ring_op(lambda a, b: a.sig == b.sig and a.inf == b.inf)
 
     def __hash__(self):
         # a value with no eps-part hashes as its sig-part, as it compares
         return hash(self.sig) if self.inf == 0 else hash((self.sig, self.inf))
 
-    def __mul__(self, other):
-        other = other if type(other) is type(self) else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return type(self)(*_leibniz(operator.mul, self, other))
-
-    __rmul__ = __mul__
+    def __neg__(self):
+        return type(self)(-self.sig, -self.inf)
 
 
 class DualComplex(DualNumber):
@@ -125,17 +111,8 @@ class DualComplex(DualNumber):
             return DualComplex(x)
         return NotImplemented
 
-    def __truediv__(self, other) -> "DualComplex":
-        other = other if type(other) is type(self) else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return div(self, other)
-
-    def __rtruediv__(self, other) -> "DualComplex":
-        other = other if type(other) is type(self) else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return div(other, self)
+    __truediv__ = _ring_op(lambda a, b: div(a, b))
+    __rtruediv__ = _ring_op(lambda a, b: div(b, a))
 
     def __pow__(self, n: int) -> "DualComplex":
         return pow_int(self, n)
@@ -164,25 +141,11 @@ class DualReal(DualNumber):
             return DualReal(x)
         return NotImplemented
 
-    # -- order (exact on stored floats, no tolerance) --------------------
-
-    def _compare(self, other, op):
-        other = other if type(other) is type(self) else self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return op((self.sig, self.inf), (other.sig, other.inf))
-
-    def __lt__(self, other) -> bool:
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other) -> bool:
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other) -> bool:
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other) -> bool:
-        return self._compare(other, operator.ge)
+    # order: lexicographic on the stored floats, no tolerance
+    __lt__ = _ring_op(lambda a, b: (a.sig, a.inf) < (b.sig, b.inf))
+    __le__ = _ring_op(lambda a, b: (a.sig, a.inf) <= (b.sig, b.inf))
+    __gt__ = _ring_op(lambda a, b: (a.sig, a.inf) > (b.sig, b.inf))
+    __ge__ = _ring_op(lambda a, b: (a.sig, a.inf) >= (b.sig, b.inf))
 
     def sqrt(self) -> "DualReal":
         """Dual square root: sqrt(a) + b/(2 sqrt(a)) eps; a must be appreciable."""

@@ -152,6 +152,9 @@ def tagged_from_json(data):
             if op.cols != ops[0].cols:
                 raise MalformedShape(f"operators[{i}]: expected {ops[0].cols} columns "
                                      f"like operators[0], got {op.cols}")
+        if len(labels) != len(ops):
+            raise MalformedShape(f"labels: expected one per operator, "
+                                 f"got {len(labels)} for {len(ops)}")
         return Measurement(ops, tuple(labels))
     raise MalformedInput(f"unknown kind tag: {kind!r}")
 

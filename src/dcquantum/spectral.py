@@ -254,12 +254,14 @@ def _exp_divided_differences(lam: np.ndarray, e: np.ndarray) -> np.ndarray:
     """F_ij = (e^lam_i - e^lam_j) / (lam_i - lam_j), and e^lam_i where
     the two coincide, as e^hi expm1(lo - hi) / (lo - hi) with hi the one
     of larger real part: no cancellation, and no overflow while e^hi is
-    finite.  Two n x n buffers: lo - hi, which then takes e^hi and F, and
-    the ratio."""
+    finite.  Below the smallest normal float the ratio rounds to 1, and
+    is taken as 1: numpy's complex division by a subnormal overflows.
+    Two n x n buffers: lo - hi, which then takes e^hi and F, and the
+    ratio."""
     swap = lam.real[:, None] < lam.real[None, :]
     d = lam[:, None] - lam[None, :]
     np.negative(d, out=d, where=~swap)  # lo - hi
-    same = d == 0
+    same = np.abs(d) < np.finfo(float).tiny
     d[same] = 1.0
     ratio = np.expm1(d)
     np.divide(ratio, d, out=ratio)

@@ -335,6 +335,18 @@ class TestMalformedInput:
         assert main(["check", "hermitian", "--in", path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("argv", [["check", "unitary"], ["check", "spectrum"],
+                                      ["translate", "--correct", "--out", "{out}"]])
+    def test_measurement_with_too_few_labels_exits_2(self, tmp_path, capsys, argv):
+        doc = {"kind": "measurement", "labels": [],
+               "operators": [serialize.matrix_to_json(DCMatrix(np.eye(1)))]}
+        path = _write_doc(tmp_path / "short_labels.json", doc)
+        out = tmp_path / "o.json"
+        assert main([a.format(out=out) for a in argv] + ["--in", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: labels: expected one per operator, got 0 for 1\n"
+        assert captured.out == "" and not out.exists()
+
     def test_wrong_entry_count_exits_2(self, tmp_path, capsys):
         doc = serialize.unitary_to_json(dirac_gate(0.7))
         del doc["matrix"]["entries"][1:]
@@ -754,6 +766,19 @@ class TestUnwritableOut:
         assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
+def test_walk_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", refuse)
+    out = tmp_path / "x.csv"
+    assert main(["walk", "--mass", "0.5", "--sites", "64", "--steps", "1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --sites 64: the lattice does not fit in memory\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_lattice_too_large_is_usage_error(tmp_path):
     """10^12 sites is 16 TB per array, which the allocator refuses at
     once; the child's address space is capped at 4 GiB as well, so the
@@ -794,6 +819,13 @@ _BAD_FLAGS = [
     (["convergence", "--walk", "--mass", "inf"], "--mass"),
     (["convergence", "--h-list", "1e-2", "0"], "--h-list"),
     (["convergence", "--h-list", "nan"], "--h-list"),
+    # |mass| times the step overflows a float
+    (["convergence", "--walk", "--sites", "1", "--mass", "1e308"], "--mass"),
+    (["convergence", "--walk", "--sites", "64", "1", "--mass", "-1e308"], "--mass"),
+    (["convergence", "--mass", "1e300", "--h-list", "1e10"], "--mass"),
+    (["convergence", "--mass", "-1e300", "--h-list", "1e-2", "1e10"], "--mass"),
+    (["check", "covariance", "--mode", "corrected", "--mass", "10", "--h", "1e308"], "--mass"),
+    (["check", "covariance", "--mode", "corrected", "--mass", "-10", "--h", "1e308"], "--mass"),
     (["--rtol", "nan", "check", "unitary", "--in", "{gate}"], "--rtol"),
     (["--rtol", "-1", "check", "unitary", "--in", "{gate}"], "--rtol"),
     (["--tau", "nan", "check", "semipositive", "--in", "{diag}"], "--tau"),

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import tracemalloc
 import warnings
@@ -21,7 +22,12 @@ from conftest import (
     random_dc_vector,
     unembed,
 )
-from dcquantum.errors import DimMismatch, ModulusOfInfinitesimal, NonSquare
+from dcquantum.errors import (
+    DimMismatch,
+    InfinitesimalVector,
+    ModulusOfInfinitesimal,
+    NonSquare,
+)
 from dcquantum.linalg import (
     DCMatrix,
     DCVector,
@@ -79,6 +85,17 @@ class TestInnerAndNorm:
         with pytest.raises(DimMismatch):
             inner(DCVector.basis(2, 0), DCVector.basis(3, 0))
 
+    def test_norm_of_the_zero_vector_is_zero(self):
+        for v in (DCVector(np.zeros(3)), DCVector(np.zeros(2), np.array([1e-13, -0.0]))):
+            n = vnorm(v)
+            assert type(n) is DualReal and repr(n) == repr(DualReal(0.0, 0.0))
+
+    @pytest.mark.parametrize("w", [DualComplex(0.0, 1.0), DualComplex(1e-13, 2.0), DualReal(0.0)],
+                             ids=repr)
+    def test_division_by_an_infinitesimal_raises(self, w):
+        with pytest.raises(InfinitesimalVector):
+            divide_vector(DCVector(np.ones(2)), w)
+
     def test_norm_sq_is_self_inner_product(self, rng):
         v = random_dc_vector(5, rng)
         q = inner(v, v)
@@ -117,6 +134,50 @@ class TestRing:
         # mixed product: (A x B)(u x v) = Au x Bv
         lhs, rhs = ab @ uv, kron(a @ u, b @ v)
         assert np.allclose(lhs.sig, rhs.sig) and np.allclose(lhs.inf, rhs.inf)
+
+
+class TestRingOperands:
+    """+ and - take a ring array of the same type and shape, and @ one
+    whose rows match the matrix's columns: another shape is a
+    DimMismatch, another type a TypeError."""
+
+    @pytest.mark.parametrize("a, b", [(DCMatrix(np.eye(2)), DCMatrix(np.ones((2, 1)))),
+                                      (DCMatrix(np.eye(2)), DCMatrix(np.ones((1, 1)))),
+                                      (DCVector(np.ones(2)), DCVector(np.ones(3)))],
+                             ids=["2x2-2x1", "2x2-1x1", "vectors"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_sums_of_mismatched_shapes_raise(self, a, b, op):
+        with pytest.raises(DimMismatch):
+            op(a, b)
+        with pytest.raises(DimMismatch):
+            op(b, a)
+
+    @pytest.mark.parametrize("other", [DCVector(np.ones(2)), np.eye(2), 1, DualComplex(1)],
+                             ids=["vector", "ndarray", "int", "dual"])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_sums_with_another_type_are_type_errors(self, other, op):
+        m = DCMatrix(np.eye(2))
+        with pytest.raises(TypeError):
+            op(m, other)
+        with pytest.raises(TypeError):
+            op(other, m)
+
+    def test_products_of_mismatched_inner_dimensions_raise(self):
+        a, b, c = DCMatrix(np.eye(2)), DCMatrix(np.ones((2, 1))), DCMatrix(np.ones((1, 1)))
+        for x, y in ((a, c), (c, a), (b, a)):
+            with pytest.raises(DimMismatch):
+                x @ y
+        assert (a @ b).shape == (2, 1) and (b @ c).shape == (2, 1)
+
+    def test_product_with_a_vector_of_the_wrong_length_raises(self):
+        with pytest.raises(DimMismatch):
+            DCMatrix(np.eye(2)) @ DCVector(np.ones(3))
+
+    @pytest.mark.parametrize("other", [np.ones(2), np.eye(2), 2, DualComplex(1)],
+                             ids=["1d-ndarray", "2d-ndarray", "int", "dual"])
+    def test_product_with_a_non_ring_operand_is_a_type_error(self, other):
+        with pytest.raises(TypeError):
+            DCMatrix(np.eye(2)) @ other
 
 
 class TestClassifyOp:
@@ -187,6 +248,24 @@ class TestMatExp:
     def test_pi_rotation(self):
         e = mat_exp(DCMatrix(1j * np.pi * SX))
         assert np.allclose(e.sig, -np.eye(2), atol=1e-12)
+
+    def test_non_square_raises(self):
+        with pytest.raises(NonSquare):
+            mat_exp(DCMatrix(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("w", [1.0, -1j, 1j])
+    def test_subnormal_gaps_give_finite_divided_differences(self, w):
+        # lam_i - lam_j subnormal, where numpy's complex expm1(d) / d overflows
+        t = 5e-324
+        h = DCMatrix(np.array([[t, t * (1 + 1j)], [t * (1 - 1j), t]]), SX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = mat_exp(h.scale(w))
+        assert np.isfinite(e.sig).all() and np.isfinite(e.inf).all()
+        assert np.abs(e.sig - np.eye(2)).max() <= 1e-15
+        assert np.abs(e.inf - w * SX).max() <= 1e-15
+        if w != 1.0:
+            assert is_unitary(e, 1e-15)
 
     def test_block_trick_matches_double_series(self, rng):
         for dim in (2, 3, 4):
@@ -512,7 +591,7 @@ def _allocating_mat_exp(a_eps):
     e_hi = np.where(swap, e[None, :], e[:, None])
     d = lam[:, None] - lam[None, :]
     np.negative(d, out=d, where=~swap)
-    same = d == 0
+    same = np.abs(d) < np.finfo(float).tiny
     d[same] = 1.0
     ratio = np.expm1(d) / d
     ratio[same] = 1.0

@@ -205,6 +205,19 @@ class TestSchrodingerStep:
         with pytest.raises(NotHermitian):
             schrodinger_step(ket(2, 0), DCMatrix(1j * SX), 0.1)
 
+    def test_subnormal_generator_steps(self):
+        # eigenvalue gaps below the smallest normal float: expm1(d) / d is 1 there
+        t = 5e-324
+        h = DCMatrix(np.array([[t, t * (1 + 1j)], [t * (1 - 1j), t]]))
+        s = normalize(DCVector(np.array([1.0, 1j])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = schrodinger_step(s, h, 1.0)
+        assert np.isfinite(out.vec.sig).all() and np.isfinite(out.vec.inf).all()
+        assert np.abs(out.vec.sig - s.vec.sig).max() <= 1e-15
+        n = vnorm(out.vec)
+        assert abs(n.sig - 1.0) <= 1e-15 and abs(n.inf) <= 1e-15
+
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_matches_the_block_image_oracle(self, rng, n):
         # expm of the block image of -i dt H_eps, applied to the state's image
@@ -437,6 +450,12 @@ class TestEpsFreeOperators:
 
 
 class TestMeasure:
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c"), ()])
+    def test_one_label_per_operator(self, labels):
+        ops = (DCMatrix(np.diag([1.0, 0.0])), DCMatrix(np.diag([0.0, 1.0])))
+        with pytest.raises(DimMismatch, match="one label per measurement operator"):
+            Measurement(ops, labels)
+
     def test_projective_on_plus(self):
         m = measurement_from_complex(
             [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=("up", "down")

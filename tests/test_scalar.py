@@ -19,6 +19,7 @@ from dcquantum.scalar import (
     DualNumber,
     DualReal,
     classify,
+    conj,
     cos_s,
     div,
     div_infinitesimal_convention,
@@ -326,3 +327,61 @@ class TestDualRealOrderOperands:
     def test_real_operands_still_compare(self):
         assert DualReal(1.0) < 2 and 2 > DualReal(1.0)
         assert DualReal(1.0, -1.0) < DualReal(1.0) <= 1.0 <= DualReal(1.0)
+
+
+class TestOperatorForms:
+    """The operator spellings of division, powers and conjugation are the
+    named functions, and the powers and roots check their arguments."""
+
+    _W = DualComplex(complex(1.5, _NZ), 3 - 4j)
+
+    @pytest.mark.parametrize("other", [DualComplex(2 - 1j, complex(_NZ, 0.5)), 2, 1.5,
+                                       2 - 3j, DualReal(2.0, -3.0), DualReal(-1.25, _NZ)],
+                             ids=repr)
+    def test_true_division_is_div_in_both_orders(self, other):
+        w, x = self._W, DualComplex(*_reference_coerce(other, real=False))
+        assert repr(w / other) == repr(div(w, x))
+        assert repr(other / w) == repr(div(x, w))
+
+    @pytest.mark.parametrize("other", ["x", None, [1]], ids=repr)
+    def test_true_division_by_a_non_ring_operand_is_a_type_error(self, other):
+        with pytest.raises(TypeError):
+            self._W / other
+        with pytest.raises(TypeError):
+            other / self._W
+
+    def test_true_division_by_an_infinitesimal_raises(self):
+        with pytest.raises(DivisorInfinitesimal):
+            self._W / EPS
+        with pytest.raises(DivisorInfinitesimal):
+            1 / EPS
+
+    def test_dual_reals_do_not_divide(self):
+        with pytest.raises(TypeError):
+            DualReal(1.0) / DualReal(2.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_power_is_pow_int(self, n):
+        assert repr(self._W ** n) == repr(pow_int(self._W, n))
+
+    def test_negative_powers_raise(self):
+        with pytest.raises(ValueError):
+            pow_int(self._W, -1)
+        with pytest.raises(ValueError):
+            self._W ** -1
+
+    def test_conj_is_the_linear_conjugation(self):
+        w = self._W
+        assert repr(conj(w)) == repr(DualComplex(w.sig.conjugate(), w.inf.conjugate()))
+        assert repr(conj(w)) == repr(w.conj())
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (-1, 0), (3, 3), (3, -1), (1, 1)])
+    def test_root_arguments_out_of_range_raise(self, n, k):
+        with pytest.raises(ValueError):
+            nth_root(self._W, n, k)
+
+    @pytest.mark.parametrize("value", [DualReal(0.0, 1.0), DualReal(1e-13, -2.0),
+                                       DualReal(-1e-13)], ids=repr)
+    def test_real_sqrt_of_a_non_appreciable_value_raises(self, value):
+        with pytest.raises(RootOfInfinitesimal):
+            value.sqrt()

@@ -12,10 +12,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_dc_unitary, random_dc_vector
-from dcquantum.errors import DCError, DimMismatch, MalformedInput, MalformedTrajectory
+from dcquantum.errors import (
+    DCError,
+    DimMismatch,
+    MalformedInput,
+    MalformedShape,
+    MalformedTrajectory,
+)
 from dcquantum.linalg import DCMatrix, DCVector
 from dcquantum.quantum import Measurement, QuantumState, measurement_from_complex, normalize
 from dcquantum.scalar import DualComplex
+from dcquantum import serialize
 from dcquantum.serialize import (
     dump_json,
     load_tagged,
@@ -158,6 +165,16 @@ class TestTagged:
         with pytest.raises(DCError):
             tagged_from_json({"kind": "mystery"})
 
+    @pytest.mark.parametrize("labels, message", [
+        ([], "labels: expected one per operator, got 0 for 2"),
+        (["a"], "labels: expected one per operator, got 1 for 2"),
+        (["a", "b", "c"], "labels: expected one per operator, got 3 for 2"),
+    ])
+    def test_measurement_needs_one_label_per_operator(self, labels, message):
+        ops = [matrix_to_json(DCMatrix(np.diag(d))) for d in ([1.0, 0.0], [0.0, 1.0])]
+        with pytest.raises(MalformedShape, match=f"^{re.escape(message)}$"):
+            tagged_from_json({"kind": "measurement", "labels": labels, "operators": ops})
+
 
 # Floats whose encoding is easy to get wrong: signed zeros, subnormals,
 # extremes, and the three that json spells NaN, Infinity and -Infinity.
@@ -271,6 +288,12 @@ class TestMatrixRejectsMalformed:
             entries[i][2] = bad
         with pytest.raises(MalformedInput, match=rf"^m\.entries\[{i}\]: "):
             matrix_from_json({"rows": 40, "cols": 60, "entries": entries}, "m")
+
+    def test_entries_that_pass_the_scan_get_the_general_message(self):
+        # the last fallback: every entry is four numbers, yet the conversion failed
+        e = serialize._bad_entry([[0.0, 1, -2.5, 3]], "m")
+        assert type(e) is MalformedInput
+        assert str(e) == "m.entries: expected lists of four numbers"
 
     def test_a_whole_piece_of_five_number_entries_is_malformed(self):
         entries = [[0.0] * 4] * 1024 + [[0.0] * 5] * 1024
