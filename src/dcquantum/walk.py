@@ -36,7 +36,10 @@ def dirac_gate(m: float) -> DCMatrix:
 
 def corrected_gate(m: float, h: float) -> np.ndarray:
     """The conventional walk gate exp(ihH) sigma_x =
-    [[-i sin(mh), cos(mh)], [cos(mh), -i sin(mh)]]."""
+    [[-i sin(mh), cos(mh)], [cos(mh), -i sin(mh)]]; ValueError where
+    m*h overflows a float."""
+    if math.isinf(m * h):  # a NaN mass gives a NaN gate, which the checks report
+        raise ValueError(f"mass {m!r} times step {h!r} overflows a float")
     c, s = math.cos(m * h), math.sin(m * h)
     return np.array([[-1j * s, c], [c, -1j * s]], dtype=complex)
 
@@ -266,11 +269,13 @@ def walk_vs_continuum_error(sites: int, k: float = 1.0, m: float = 1.0):
     solution at physical time ~1; first order in the lattice spacing h.
 
     Returns (error, h, reached_time).  The wave fits the lattice only for
-    an integer wavenumber k; any other k raises ValueError.
+    an integer wavenumber k; any other k, or an m whose product with h
+    overflows a float, raises ValueError.
     """
     if not float(k).is_integer():
         raise ValueError(f"wavenumber {k!r} does not fit the periodic lattice of length 2*pi")
     h = 2.0 * math.pi / sites
+    g = corrected_gate(m, h)
     steps = max(1, round(1.0 / h))
     t_end = steps * h
     psip, psim, _ = dirac_plane_wave(k, m)
@@ -278,7 +283,6 @@ def walk_vs_continuum_error(sites: int, k: float = 1.0, m: float = 1.0):
     plus, minus = psip(x, 0.0), psim(x, 0.0)
     norm0 = math.sqrt(float(np.vdot(plus, plus).real + np.vdot(minus, minus).real))
     plus, minus = plus / norm0, minus / norm0
-    g = corrected_gate(m, h)
     for _ in range(steps):
         minus, plus = _gate_apply(g, plus, minus)
         minus, plus = np.roll(minus, -1), np.roll(plus, 1)

@@ -61,6 +61,15 @@ class TestGate:
         approx = g_eps.sig + h * g_eps.inf
         assert np.abs(corrected_gate(m, h) - approx).max() < 1e-11
 
+    @pytest.mark.parametrize("m, h", [(1e308, 10.0), (-10.0, 1e308), (math.inf, 0.1)])
+    def test_corrected_gate_rejects_an_overflowing_phase(self, m, h):
+        with pytest.raises(ValueError, match="overflows a float"):
+            corrected_gate(m, h)
+
+    def test_continuum_error_rejects_a_mass_overflowing_the_spacing(self):
+        with pytest.raises(ValueError, match=r"mass 1e\+308 times step"):
+            walk_vs_continuum_error(1, m=1e308)
+
 
 class TestStep:
     def test_massless_pure_shift(self):
