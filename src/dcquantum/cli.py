@@ -2,6 +2,10 @@
 extension/correction translation, and convergence studies.
 
 Exit codes: 0 pass, 1 check failed, 2 usage or parse error.
+
+Each command imports the layers it runs in its handler, so that a walk
+never compiles the spectral closed forms and a check of an operator file
+never compiles the walk.
 """
 
 from __future__ import annotations
@@ -15,26 +19,7 @@ import sys
 
 import numpy as np
 
-from . import scalar, serialize
 from .errors import DCError, MalformedInput, MalformedShape, NotHermitian, NotUnitary
-from .linalg import DCMatrix, OperatorKind, _defect_term, residual
-from .quantum import (
-    Measurement,
-    complex_correct_measurement,
-    complex_correct_unitary,
-    dc_extend_measurement,
-    dc_extend_unitary,
-    sampled_family,
-)
-from .spectral import CLUSTER_DELTA, check_appreciably_semipositive, eig_hermitian, eig_unitary
-from .walk import (
-    covariance_check,
-    dirac_gate,
-    lorentz_encodings,
-    point_source,
-    run,
-    walk_vs_continuum_error,
-)
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -49,8 +34,9 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _require_mass_step(mass: float, h: float, step: str) -> None:
-    """|mass| times the step h, which `step` names, must be a float: the
-    gates take the cosine and sine of their product."""
+    """|mass| times h, which `step` names, must be a float: the corrected
+    gates take the cosine and sine of their product, and each walk step
+    adds a term of the mass to the eps-parts."""
     _require(math.isfinite(mass * h), f"--mass {mass!r} times {step} overflows a float")
 
 
@@ -65,7 +51,9 @@ def _write(writer, obj, path: str):
 
 def _write_report(report: dict, path):
     if path:
-        _write(serialize.dump_json, report, path)
+        from .serialize import dump_json
+
+        _write(dump_json, report, path)
     print(json.dumps(report))
 
 
@@ -79,6 +67,13 @@ def cmd_walk(args) -> int:
     _require(args.steps >= 0, "--steps must be >= 0")
     _require(args.record_every >= 1, "--record-every must be >= 1")
     _require(math.isfinite(args.mass), "--mass must be finite")
+    # a step count past the float range, which would not convert, counts as the largest float
+    _require_mass_step(args.mass, min(args.steps, sys.float_info.max), f"--steps {args.steps}")
+    # walk, the largest module, compiles first, so that serialize compiles in the
+    # memory walk's compile freed: the other order peaked about 0.15 MiB higher
+    from .walk import point_source, run
+    from . import serialize
+
     try:
         snaps = run(point_source(args.sites), args.mass, args.steps,
                     record_every=args.record_every)
@@ -94,10 +89,15 @@ def cmd_walk(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_spectrum(m: DCMatrix, atol: float, delta: float):
+def _check_spectrum(m, atol: float, delta: float | None):
     """Whether the dual spectrum of m, taken as Hermitian else unitary,
     rebuilds m within atol at each part's own scale, and that relative
-    error; a matrix of neither kind fails with its smaller residual."""
+    error; a matrix of neither kind fails with its smaller residual.
+    A delta of None is the spectral module's CLUSTER_DELTA."""
+    from .linalg import OperatorKind, _defect_term, residual
+    from .spectral import CLUSTER_DELTA, eig_hermitian, eig_unitary
+
+    delta = CLUSTER_DELTA if delta is None else delta
     try:
         spec = eig_hermitian(m, delta)
     except NotHermitian:
@@ -122,6 +122,8 @@ def cmd_check(args) -> int:
                  "--h must be finite and > 0 with --mode corrected")
         if args.mode == "corrected":
             _require_mass_step(args.mass, args.h, f"--h {args.h!r}")
+        from .walk import covariance_check, lorentz_encodings
+
         patch = lorentz_encodings(args.alpha, args.beta, args.mass)
         mode = "dual_exact" if args.mode == "dual" else "corrected"
         rng = np.random.default_rng(args.seed)
@@ -137,12 +139,18 @@ def cmd_check(args) -> int:
         return PASS if worst.passed else FAIL
 
     _require(args.input is not None, f"check {args.what} needs --in")
-    obj = serialize.load_tagged(args.input)
-    if isinstance(obj, Measurement):
-        raise MalformedInput("check expects a unitary/matrix file")
+    from .linalg import DCMatrix, OperatorKind, residual
+    from .serialize import load_tagged
+
+    obj = load_tagged(args.input)
     if isinstance(obj, DCMatrix):
         m = obj
-    else:  # a state is checked as its n x 1 column, eps-part included
+    else:  # the file held a state or a measurement, so quantum is loaded
+        from .quantum import Measurement
+
+        if isinstance(obj, Measurement):
+            raise MalformedInput("check expects a unitary/matrix file")
+        # a state is checked as its n x 1 column, eps-part included
         m = DCMatrix(obj.vec.sig.reshape(-1, 1), obj.vec.inf.reshape(-1, 1))
 
     if args.what in ("unitary", "hermitian"):
@@ -151,6 +159,8 @@ def cmd_check(args) -> int:
     elif args.what == "spectrum":
         ok, worst = _check_spectrum(m, args.rtol, args.delta)
     else:  # semipositive; argparse restricts the choices
+        from .spectral import check_appreciably_semipositive
+
         rep = check_appreciably_semipositive(m, args.tau)
         ok, worst = rep.passed, rep.worst_violation
     if not math.isfinite(worst):  # finite entries near the float limit can overflow it
@@ -170,6 +180,9 @@ def _extend_from_family(data):
     """Family file: conventional matrices (eps-parts zero) sampled at
     -step, 0, +step, each of the shape of its slot in at_zero.  One
     operator per slot means a unitary family; several mean a measurement."""
+    from . import serialize
+    from .quantum import dc_extend_measurement, dc_extend_unitary, sampled_family
+
     step = serialize.require(data, "step")
     if type(step) not in (int, float) or not 0 < step < math.inf:
         raise MalformedInput(f"step: expected a positive number, got {step!r}")
@@ -209,6 +222,10 @@ def _extend_from_family(data):
 
 def cmd_translate(args) -> int:
     _require(math.isfinite(args.h), "--h must be finite")
+    from . import serialize
+    from .linalg import DCMatrix
+    from .quantum import Measurement, complex_correct_measurement, complex_correct_unitary
+
     if args.extend:
         data = serialize._read_json(args.input)
         if not isinstance(data, dict) or data.get("kind") != "family":
@@ -238,6 +255,9 @@ def cmd_translate(args) -> int:
 
 
 def _gate_residual(h: float, mass: float) -> float:
+    from .quantum import complex_correct_unitary
+    from .walk import dirac_gate
+
     u_eps = dirac_gate(mass)
     approx = u_eps.sig + h * u_eps.inf
     exact = complex_correct_unitary(u_eps, h)
@@ -249,6 +269,8 @@ def cmd_convergence(args) -> int:
     if args.walk:
         _require(min(args.sites) >= 1, "--sites must be >= 1")
         _require(args.wavenumber.is_integer(), "--wavenumber must be an integer")
+        from .walk import walk_vs_continuum_error
+
         results = []
         for n in args.sites:
             try:
@@ -275,11 +297,14 @@ def cmd_convergence(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .scalar import TAU
+
     parser = argparse.ArgumentParser(prog="dcq",
                                      description="dual-complex quantum toolkit")
-    parser.add_argument("--tau", type=float, default=scalar.TAU,
+    parser.add_argument("--tau", type=float, default=TAU,
                         help="appreciability cutoff; read only by check semipositive")
-    parser.add_argument("--delta", type=float, default=CLUSTER_DELTA,
+    # None is CLUSTER_DELTA, which a command other than check spectrum does not load
+    parser.add_argument("--delta", type=float,
                         help="eigenvalue clustering threshold; read only by check spectrum")
     parser.add_argument("--rtol", type=float, default=1e-8,
                         help="residual tolerance of check unitary, hermitian and spectrum")
@@ -340,7 +365,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for flag in ("tau", "delta", "rtol"):
-            _require(0 <= getattr(args, flag) < math.inf, f"--{flag} must be finite and >= 0")
+            value = getattr(args, flag)
+            _require(value is None or 0 <= value < math.inf, f"--{flag} must be finite and >= 0")
         _require(args.seed >= 0, "--seed must be >= 0")
         return args.func(args)
     except _UsageError as e:

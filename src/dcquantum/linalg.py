@@ -5,7 +5,7 @@ Vectors and matrices are stored as a pair of complex numpy arrays
 operations combine the parts so that eps^2 terms never appear, hence
 first-order identities hold exactly up to floating point.  The spectral
 closed forms and the matrix exponential live in `spectral`; their public
-names are re-exported here.
+names are re-exported here, loaded on first access.
 """
 
 from __future__ import annotations
@@ -314,25 +314,35 @@ def completeness_defect(family) -> float:
     It works part by part (Leibniz): with M = A0 + eps A1 and
     X = A0^dag A1, M^dag M is A0^dag A0 + eps (X + X^dag), two products
     per operator and no dual temporaries; the scales are those of the
-    stack.  It holds four buffers: gram and X (d x d), one product
-    (d x d), and one operator's conjugate A0-bar, as large as the largest
-    operator."""
+    stack.  M_0's products are written straight into gram and X (d x d),
+    and I is subtracted on gram's diagonal; X^dag is formed in gram once
+    its moduli are taken.  So a family of one operator, such as every
+    unitary residual, holds three buffers: gram, X and the operator's
+    conjugate A0-bar.  Each further operator's products pass through a
+    fourth, d x d, and the conjugate buffer is as large as the largest
+    operator.  These are the bits of sums started from -I and 0: IEEE
+    addition commutes, and a sum started from 0 differs only in the sign
+    of a zero, which the moduli drop."""
     if not family:
         raise IncompleteFamily("empty operator family")
     d = family[0].cols
     for i, m in enumerate(family):
         if m.cols != d:
             raise DimMismatch(f"operator {i} has {m.cols} columns, operator 0 has {d}")
-    # three allocations, not one block, so that each can take a freed n x n hole
-    gram, x, p = (np.zeros((d, d), complex) for _ in range(3))
-    np.fill_diagonal(gram, -1.0)
     c = np.empty((max(m.rows for m in family), d), complex)  # one A0's conjugate
-    for m in family:
-        a0h = np.conjugate(m.sig, out=c[:m.rows]).T
-        gram += np.matmul(a0h, m.sig, out=p)
-        x += np.matmul(a0h, m.inf, out=p)
+    first, *rest = family
+    a0h = np.conjugate(first.sig, out=c[:first.rows]).T
+    gram = np.matmul(a0h, first.sig)
+    gram.reshape(-1)[::d + 1] -= 1.0
+    x = np.matmul(a0h, first.inf)
+    if rest:
+        p = np.empty((d, d), complex)
+        for m in rest:
+            a0h = np.conjugate(m.sig, out=c[:m.rows]).T
+            gram += np.matmul(a0h, m.sig, out=p)
+            x += np.matmul(a0h, m.inf, out=p)
     sig = _defect_term(gram, [m.sig for m in family], c)
-    x += _adjoint(x, p)
+    x += _adjoint(x, gram)
     return float(np.max([sig, _defect_term(x, [m.inf for m in family], c)]))
 
 
@@ -381,14 +391,19 @@ def kron(a: _DualArray, b: _DualArray) -> _DualArray:
     return type(a)._owning(*_leibniz(np.kron, a, b))
 
 
-# spectral imports the ring from this module, so it loads once the ring is defined
-from .spectral import (  # noqa: E402
-    CLUSTER_DELTA,
-    DualSpectrum,
-    SemipositivityReport,
-    check_appreciably_semipositive,
-    eig_hermitian,
-    eig_unitary,
-    log_unitary,
-    mat_exp,
-)
+#: Names defined in `spectral` that this module defined before they moved.
+_SPECTRAL = frozenset({
+    "CLUSTER_DELTA", "DualSpectrum", "SemipositivityReport", "check_appreciably_semipositive",
+    "eig_hermitian", "eig_unitary", "log_unitary", "mat_exp",
+})
+
+
+def __getattr__(name: str):
+    """The spectral closed forms, loaded on first use (PEP 562): spectral
+    imports the ring from this module, and a process that never calls
+    them never compiles it.  Old pickles find them here too."""
+    if name in _SPECTRAL:
+        from . import spectral
+
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,15 +15,18 @@ import io
 import json
 import sys
 from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimMismatch, MalformedInput, MalformedShape, MalformedTrajectory
 from .jsonfmt import _SLOT, _frame, _indented_rows
 from .linalg import DCMatrix, DCVector
-from .quantum import Measurement, QuantumState
 from .scalar import DualComplex
-from .walk import WalkState
+
+if TYPE_CHECKING:  # loaded where a value is built, so that a reader of one kind loads no other
+    from .quantum import Measurement, QuantumState
+    from .walk import WalkState
 
 
 def scalar_to_json(w: DualComplex) -> list:
@@ -141,6 +144,8 @@ def tagged_from_json(data):
     kind = require(data, "kind")
     if kind == "unitary":
         return matrix_from_json(require(data, "matrix"))
+    from .quantum import Measurement, QuantumState
+
     if kind == "state":
         return QuantumState(vector_from_json(require(data, "matrix")))
     if kind == "measurement":
@@ -296,6 +301,8 @@ def read_trajectory_csv(path: str) -> list:
     none), every field must parse as its number, and every snapshot must
     hold the rows x_index = 0 .. sites-1 once each, with the same number
     of sites as the first snapshot."""
+    from .walk import WalkState
+
     by_step: dict = {}
     # universal newlines, as open() in text mode reads them
     reader = csv.reader(io.StringIO(_read_text(path, MalformedTrajectory), newline=None))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcquantum
-from dcquantum import cli, linalg, serialize
+from dcquantum import linalg, serialize, walk
 from dcquantum.cli import main
 from dcquantum.linalg import DCMatrix, DCVector, dilation_block, residual
 from dcquantum.quantum import Measurement, QuantumState, normalize
@@ -90,6 +90,34 @@ class TestWalkCommand:
         assert rc == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mass", ["1e308", "-1e308", "1.7976931348623157e308"])
+    def test_mass_whose_product_with_the_steps_overflows_is_usage_error(self, tmp_path,
+                                                                         capsys, mass):
+        # each step adds a mass-sized term to the eps-parts, and on 4 sites
+        # three steps land on one site: inf, then a NaN dual norm
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["walk", "--mass", mass, "--sites", "4", "--steps", "3",
+                       "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --mass {float(mass)!r} times --steps 3 overflows a float\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("mass, steps", [("1e200", "3"), ("-1e200", "3"), ("1e308", "1"),
+                                             ("1e308", "0")])
+    def test_large_mass_whose_product_with_the_steps_is_finite_walks(self, tmp_path, capsys,
+                                                                     mass, steps):
+        out = tmp_path / "w.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["walk", "--mass", mass, "--sites", "4", "--steps", steps,
+                       "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == "final dual norm: 1.0 + (0.0)eps\n"
+        assert len(serialize.read_trajectory_csv(str(out))) == int(steps) + 1
 
 
 class TestCheckCommand:
@@ -240,8 +268,8 @@ class TestCheckSpectrumKind:
             return residual(mat, kind)
 
         path = write_unitary(tmp_path / "m.json", m)
+        # the command imports residual from linalg when it runs
         monkeypatch.setattr(linalg, "residual", counting)
-        monkeypatch.setattr(cli, "residual", counting)
         assert main(["check", "spectrum", "--in", path]) == 0
         assert seen == kinds
 
@@ -770,7 +798,8 @@ def test_walk_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "run", refuse)
+    # the command imports run from walk when it runs
+    monkeypatch.setattr(walk, "run", refuse)
     out = tmp_path / "x.csv"
     assert main(["walk", "--mass", "0.5", "--sites", "64", "--steps", "1",
                  "--out", str(out)]) == 2

@@ -1,10 +1,15 @@
 """The package's module layout: each module stays small enough to
-compile cheaply, and the split of the spectral closed forms out of
-`linalg` keeps every name and every pickle that named `linalg`."""
+compile cheaply, each process loads only the layers it runs, and the
+split of the spectral closed forms out of `linalg` keeps every name and
+every pickle that named `linalg`."""
 
 import ast
 import io
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import tokenize
 from pathlib import Path
 
@@ -12,8 +17,9 @@ import numpy as np
 import pytest
 
 import dcquantum
-from dcquantum import linalg, spectral
+from dcquantum import linalg, serialize, spectral
 from dcquantum.linalg import DCMatrix, DCVector
+from dcquantum.quantum import Measurement
 
 MODULES = sorted(Path(dcquantum.__file__).parent.glob("*.py"))
 
@@ -74,14 +80,10 @@ def unused_imports(path: Path) -> list:
     return sorted(imported - read)
 
 
-# The package exports what it imports, and linalg re-exports the spectral
-# closed forms and the exponential it defined before they moved.
-REEXPORTS = {"__init__": set(dcquantum.__all__), "linalg": set(MOVED)}
-
-
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_reads_every_name_it_imports(path):
-    unused = [n for n in unused_imports(path) if n not in REEXPORTS.get(path.stem, ())]
+    # the package and linalg re-export by name on first access, not by import
+    unused = unused_imports(path)
     assert unused == [], f"{path.stem} imports {unused} and never reads them"
 
 
@@ -132,3 +134,93 @@ def test_ring_arrays_pickle_under_linalg():
     assert back == spec
     assert found[0] == ("dcquantum.spectral", "DualSpectrum")
     assert ("dcquantum.linalg", "DCVector") in found and ("dcquantum.linalg", "DCMatrix") in found
+
+
+# ---------------------------------------------------------------------------
+# Each process loads only the layers it runs
+# ---------------------------------------------------------------------------
+
+
+def loaded_after(code: str, cwd) -> set:
+    """The dcquantum submodules a fresh interpreter has loaded once it has
+    run `code` in `cwd`."""
+    report = "import sys; print(*sorted(n for n in sys.modules if n.startswith('dcquantum.')))"
+    src = str(Path(dcquantum.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code) + "\n" + report],
+                         cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return {name.removeprefix("dcquantum.") for name in out.stdout.split()}
+
+
+def test_import_loads_no_submodule(tmp_path):
+    assert loaded_after("import dcquantum", tmp_path) == set()
+
+
+def test_every_public_name_resolves_and_is_listed(tmp_path):
+    loaded_after("""
+        import dcquantum
+        from dcquantum import *
+        listed = dir(dcquantum)
+        assert [n for n in dcquantum.__all__ if n not in listed] == []
+        assert [n for n in dcquantum.__all__ if n not in globals()] == []
+        assert dcquantum.mat_exp is dcquantum.linalg.mat_exp is dcquantum.spectral.mat_exp
+        assert "serialize" in listed and dcquantum.serialize.__name__ == "dcquantum.serialize"
+        try:
+            dcquantum.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise SystemExit("dcquantum.no_such_name resolved")
+        """, tmp_path)
+
+
+def test_the_schrodinger_drivers_imports_leave_the_walk_and_cli_unloaded(tmp_path):
+    loaded = loaded_after("""
+        from dcquantum.linalg import DCMatrix
+        from dcquantum.quantum import Measurement, QuantumState, measure, schrodinger_step
+        from dcquantum.scalar import DualReal
+        from dcquantum.serialize import matrix_from_json, vector_from_json
+        """, tmp_path)
+    assert {"linalg", "quantum", "scalar", "serialize", "spectral"} <= loaded
+    assert not loaded & {"walk", "cli"}
+
+
+def test_a_walk_leaves_the_spectral_layer_and_the_engine_unloaded(tmp_path):
+    loaded = loaded_after("""
+        from dcquantum import cli
+        assert cli.main(["walk", "--mass", "0.5", "--sites", "8", "--steps", "3",
+                         "--out", "w.csv"]) == 0
+        """, tmp_path)
+    assert "walk" in loaded and "serialize" in loaded
+    assert not loaded & {"spectral", "quantum"}
+
+
+@pytest.mark.parametrize("argv", [["check", "spectrum", "--in", "u.json"],
+                                  ["translate", "--correct", "--h", "0.1", "--in", "u.json",
+                                   "--out", "c.json"],
+                                  ["translate", "--correct", "--h", "0.1", "--in", "m.json",
+                                   "--out", "c.json"]],
+                         ids=["check_spectrum", "translate_unitary", "translate_measurement"])
+def test_operator_commands_leave_the_walk_unloaded(tmp_path, argv):
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = DCMatrix(sx, -0.5j * sx)
+    serialize.dump_json(serialize.unitary_to_json(u), str(tmp_path / "u.json"))
+    m = Measurement((DCMatrix(0.6 * np.eye(2)), DCMatrix(0.8 * np.eye(2))))
+    serialize.dump_json(serialize.measurement_to_json(m), str(tmp_path / "m.json"))
+    loaded = loaded_after(f"""
+        from dcquantum import cli
+        assert cli.main({argv!r}) == 0
+        """, tmp_path)
+    assert "spectral" in loaded or "quantum" in loaded
+    assert "walk" not in loaded
+
+
+def test_a_spectrum_pickled_from_linalg_loads_in_a_process_that_imported_nothing(tmp_path):
+    loaded = loaded_after(f"""
+        import pickle
+        spec = pickle.loads({LINALG_SPECTRUM_PICKLE!r})
+        assert type(spec).__module__ == "dcquantum.spectral", type(spec)
+        assert spec.values.sig.tolist() == [2.0] and spec.values.inf.tolist() == [0.5]
+        """, tmp_path)
+    assert "walk" not in loaded

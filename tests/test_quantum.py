@@ -600,6 +600,25 @@ class TestExtendUnitary:
         assert np.array_equal(u_eps.sig, u0)
         assert np.abs(u_eps.inf - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("n, degenerate", [(2, False), (5, False), (16, False), (16, True)])
+    def test_mat_exp_family_matches_the_block_image_oracle(self, rng, n, degenerate):
+        # h -> exp(A + hB) for anti-Hermitian A and B extends to
+        # exp(A + eps B), which expm of the block image [[A, B], [0, A]]
+        # holds; a degenerate A takes the divided differences' coincident
+        # branch
+        q = random_complex_unitary(n, rng)
+        lam = rng.uniform(-2.0, 2.0, n)
+        if degenerate:
+            lam = rng.choice(lam[:3], n)
+        h = (q * lam) @ q.conj().T
+        a = 1j * (0.5 * (h + h.conj().T))  # exactly anti-Hermitian: the closed form
+        b = 1j * random_complex_hermitian(n, rng)
+        got = dc_extend_unitary(lambda t: mat_exp(DCMatrix(a) + DCMatrix(b).scale(t)))
+        want = unembed(scipy.linalg.expm(embed(DCMatrix(a, b))))
+        for part in ("sig", "inf"):
+            w = getattr(want, part)
+            assert np.abs(getattr(got, part) - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+
     @pytest.mark.parametrize("m", [0.7, -2.3, 1e3, 0.0])
     def test_walk_gate_family_is_the_dirac_gate(self, m):
         # sigma_x exp(-imh sigma_x): at eps the Dirac gate bit for bit,
