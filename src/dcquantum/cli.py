@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import DCError, MalformedInput, MalformedShape, NotHermitian, NotUnitary
+from .errors import DCError, MalformedInput, NotHermitian, NotUnitary
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -139,19 +139,11 @@ def cmd_check(args) -> int:
         return PASS if worst.passed else FAIL
 
     _require(args.input is not None, f"check {args.what} needs --in")
-    from .linalg import DCMatrix, OperatorKind, residual
-    from .serialize import load_tagged
+    from .linalg import OperatorKind, residual
+    from .serialize import load_kind
 
-    obj = load_tagged(args.input)
-    if isinstance(obj, DCMatrix):
-        m = obj
-    else:  # the file held a state or a measurement, so quantum is loaded
-        from .quantum import Measurement
-
-        if isinstance(obj, Measurement):
-            raise MalformedInput("check expects a unitary/matrix file")
-        # a state is checked as its n x 1 column, eps-part included
-        m = DCMatrix(obj.vec.sig.reshape(-1, 1), obj.vec.inf.reshape(-1, 1))
+    # a state is checked as its n x 1 column, eps-part included, at --rtol
+    m = load_kind(args.input, "unitary", "state")
 
     if args.what in ("unitary", "hermitian"):
         worst = residual(m, OperatorKind(args.what))
@@ -176,50 +168,6 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _extend_from_family(data):
-    """Family file: conventional matrices (eps-parts zero) sampled at
-    -step, 0, +step, each of the shape of its slot in at_zero.  One
-    operator per slot means a unitary family; several mean a measurement."""
-    from . import serialize
-    from .quantum import dc_extend_measurement, dc_extend_unitary, sampled_family
-
-    step = serialize.require(data, "step")
-    if type(step) not in (int, float) or not 0 < step < math.inf:
-        raise MalformedInput(f"step: expected a positive number, got {step!r}")
-    sampled = []
-    for key in ("at_zero", "at_plus", "at_minus"):
-        mats = serialize.require(data, key)
-        if type(mats) is not list or not mats:
-            raise MalformedInput(f"{key}: expected a non-empty list of matrices")
-        sampled.append([])
-        for i, m in enumerate(mats):
-            m = serialize.matrix_from_json(m, f"{key}[{i}]")
-            if m.inf.any():
-                raise MalformedInput(f"{key}[{i}]: a sample is a conventional matrix, "
-                                     "but its eps-part is nonzero")
-            sampled[-1].append(m.sig)
-        zero = sampled[0]
-        if len(sampled[-1]) != len(zero):
-            raise MalformedInput("at_zero, at_plus and at_minus differ in length")
-        for i, (m, m0) in enumerate(zip(sampled[-1], zero)):
-            if m.shape != m0.shape:
-                raise MalformedShape(f"{key}[{i}]: expected a {m0.shape[0]}x{m0.shape[1]} "
-                                     f"matrix like at_zero[{i}], got {m.shape[0]}x{m.shape[1]}")
-            if m.shape[1] != zero[0].shape[1]:  # an at_zero slot: one column count
-                raise MalformedShape(f"{key}[{i}]: expected {zero[0].shape[1]} columns "
-                                     f"like at_zero[0], got {m.shape[1]}")
-    families = []
-    for i, slot in enumerate(zip(*sampled)):
-        try:
-            families.append(sampled_family(*slot, float(step)))
-        except MalformedInput as e:
-            raise MalformedInput(f"at_plus[{i}] - at_minus[{i}]: {e}") from None
-    if len(families) == 1:
-        return serialize.unitary_to_json(dc_extend_unitary(families[0]))
-    return serialize.measurement_to_json(
-        dc_extend_measurement(lambda h: [f(h) for f in families]))
-
-
 def cmd_translate(args) -> int:
     _require(math.isfinite(args.h), "--h must be finite")
     from . import serialize
@@ -227,25 +175,18 @@ def cmd_translate(args) -> int:
     from .quantum import Measurement, complex_correct_measurement, complex_correct_unitary
 
     if args.extend:
-        data = serialize._read_json(args.input)
-        if not isinstance(data, dict) or data.get("kind") != "family":
-            raise MalformedInput("--extend expects a family file")
-        out = _extend_from_family(data)
-        _write(serialize.dump_json, out, args.out)
-        return PASS
-
-    obj = serialize.load_tagged(args.input)
-    if isinstance(obj, DCMatrix):
-        corrected = complex_correct_unitary(obj, args.h)
-        out = serialize.unitary_to_json(DCMatrix(corrected))
-    elif isinstance(obj, Measurement):
-        mats = complex_correct_measurement(obj, args.h)
-        out = serialize.measurement_to_json(
-            Measurement(tuple(DCMatrix(m) for m in mats), obj.labels)
-        )
+        out = serialize.load_kind(args.input, "family")
     else:
-        raise MalformedInput("translate expects a unitary or measurement file")
-    _write(serialize.dump_json, out, args.out)
+        obj = serialize.load_kind(args.input, "unitary", "measurement")
+        if isinstance(obj, DCMatrix):
+            out = DCMatrix(complex_correct_unitary(obj, args.h))
+        else:
+            out = Measurement(tuple(map(DCMatrix, complex_correct_measurement(obj, args.h))),
+                              obj.labels)
+    # one writer for both directions: a DCMatrix is a unitary file
+    to_json = (serialize.unitary_to_json if isinstance(out, DCMatrix)
+               else serialize.measurement_to_json)
+    _write(serialize.dump_json, to_json(out), args.out)
     return PASS
 
 

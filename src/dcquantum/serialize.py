@@ -3,9 +3,9 @@ measurements, and walk trajectories.
 
 A scalar is the 4-tuple [re_sig, im_sig, re_inf, im_inf] of 64-bit
 floats; a matrix is {"rows", "cols", "entries"} with row-major scalar
-entries.  Tagged files add {"kind": "state" | "measurement" | "unitary"}.
-All floats round-trip bit-exactly through Python's shortest-repr JSON
-encoding.
+entries.  Tagged files add {"kind": "unitary" | "state" | "measurement" |
+"family"}, and this module alone knows their layouts.  All floats
+round-trip bit-exactly through Python's shortest-repr JSON encoding.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
@@ -114,10 +115,15 @@ def vector_to_json(v: DCVector) -> dict:
     return matrix_to_json(DCMatrix(v.sig.reshape(-1, 1), v.inf.reshape(-1, 1)))
 
 
-def vector_from_json(data, where: str = "matrix") -> DCVector:
+def _column(data, where: str = "matrix") -> DCMatrix:
     m = matrix_from_json(data, where)
     if m.cols != 1:
         raise MalformedShape(f"{where}: vector encoding must have cols == 1")
+    return m
+
+
+def vector_from_json(data, where: str = "matrix") -> DCVector:
+    m = _column(data, where)
     return DCVector(m.sig[:, 0], m.inf[:, 0])
 
 
@@ -140,28 +146,93 @@ def measurement_to_json(m: Measurement) -> dict:
     }
 
 
-def tagged_from_json(data):
-    kind = require(data, "kind")
-    if kind == "unitary":
-        return matrix_from_json(require(data, "matrix"))
-    from .quantum import Measurement, QuantumState
+def _matrices(data, key: str) -> list:
+    """data[key]: a non-empty list of matrices with [0]'s column count."""
+    mats = require(data, key)
+    if type(mats) is not list or not mats:
+        raise MalformedInput(f"{key}: expected a non-empty list of matrices")
+    mats = [matrix_from_json(m, f"{key}[{i}]") for i, m in enumerate(mats)]
+    for i, m in enumerate(mats):
+        if m.cols != mats[0].cols:
+            raise MalformedShape(f"{key}[{i}]: expected {mats[0].cols} columns "
+                                 f"like {key}[0], got {m.cols}")
+    return mats
 
-    if kind == "state":
-        return QuantumState(vector_from_json(require(data, "matrix")))
-    if kind == "measurement":
-        ops, labels = require(data, "operators"), require(data, "labels")
-        if type(ops) is not list or not ops or type(labels) is not list:
-            raise MalformedInput("operators and labels must be lists, operators non-empty")
-        ops = tuple(matrix_from_json(op, f"operators[{i}]") for i, op in enumerate(ops))
-        for i, op in enumerate(ops):
-            if op.cols != ops[0].cols:
-                raise MalformedShape(f"operators[{i}]: expected {ops[0].cols} columns "
-                                     f"like operators[0], got {op.cols}")
-        if len(labels) != len(ops):
-            raise MalformedShape(f"labels: expected one per operator, "
-                                 f"got {len(labels)} for {len(ops)}")
-        return Measurement(ops, tuple(labels))
-    raise MalformedInput(f"unknown kind tag: {kind!r}")
+
+def _measurement(data) -> Measurement:
+    from .quantum import Measurement
+
+    ops, labels = _matrices(data, "operators"), require(data, "labels")
+    if type(labels) is not list:
+        raise MalformedInput(f"labels: expected a list, got {type(labels).__name__}")
+    if len(labels) != len(ops):
+        raise MalformedShape(f"labels: expected one per operator, "
+                             f"got {len(labels)} for {len(ops)}")
+    return Measurement(tuple(ops), tuple(labels))
+
+
+def _family(data):
+    """The eps-extension of conventional matrices (eps-parts zero)
+    sampled at -step, 0, +step, each of the shape of its slot in
+    at_zero: a unitary for one operator per slot, else a measurement."""
+    from .quantum import dc_extend_measurement, dc_extend_unitary, sampled_family
+
+    step = require(data, "step")
+    if type(step) not in (int, float) or not 0 < step < math.inf:
+        raise MalformedInput(f"step: expected a positive number, got {step!r}")
+    sampled = []
+    for key in ("at_zero", "at_plus", "at_minus"):
+        mats = _matrices(data, key)
+        zero = sampled[0] if sampled else mats
+        if len(mats) != len(zero):
+            raise MalformedInput("at_zero, at_plus and at_minus differ in length")
+        for i, (m, m0) in enumerate(zip(mats, zero)):
+            if m.inf.any():
+                raise MalformedInput(f"{key}[{i}]: a sample is a conventional matrix, "
+                                     "but its eps-part is nonzero")
+            if m.shape != m0.shape:
+                raise MalformedShape(f"{key}[{i}]: expected a {m0.rows}x{m0.cols} matrix "
+                                     f"like at_zero[{i}], got {m.rows}x{m.cols}")
+        sampled.append(mats)
+    families = []
+    for i, slot in enumerate(zip(*sampled)):
+        try:
+            families.append(sampled_family(*(m.sig for m in slot), float(step)))
+        except MalformedInput as e:
+            raise MalformedInput(f"at_plus[{i}] - at_minus[{i}]: {e}") from None
+    if len(families) == 1:
+        return dc_extend_unitary(families[0])
+    return dc_extend_measurement(lambda h: [f(h) for f in families])
+
+
+# Each kind's body as a value; a state is its n x 1 column here, which
+# tagged_from_json builds into a QuantumState.
+_BODIES = {
+    "unitary": lambda data: matrix_from_json(require(data, "matrix")),
+    "state": lambda data: _column(require(data, "matrix")),
+    "measurement": _measurement,
+    "family": _family,
+}
+
+
+def _body(data, kinds):
+    """The body of a tagged object whose kind is one of `kinds`; any
+    other kind is refused before the body is read."""
+    kind = require(data, "kind")
+    if kind not in kinds:
+        raise MalformedInput(f"kind: expected {' or '.join(map(repr, kinds))}, got {kind!r}")
+    return _BODIES[kind](data)
+
+
+def tagged_from_json(data):
+    """The value of a tagged object: a unitary's DCMatrix, a
+    QuantumState, a Measurement, or a family's eps-extension."""
+    value = _body(data, tuple(_BODIES))
+    if data["kind"] != "state":
+        return value
+    from .quantum import QuantumState
+
+    return QuantumState(DCVector(value.sig[:, 0], value.inf[:, 0]))
 
 
 def _read_text(path: str, error=MalformedInput) -> str:
@@ -193,6 +264,13 @@ def _read_json(path: str):
 
 def load_tagged(path: str):
     return tagged_from_json(_read_json(path))
+
+
+def load_kind(path: str, *kinds: str):
+    """The value of the tagged file at `path`, as tagged_from_json has
+    it but a state as its n x 1 column, unchecked; a file of a kind not
+    in `kinds` raises MalformedInput before its body is read."""
+    return _body(_read_json(path), kinds)
 
 
 # Rows formatted at once, which bounds the strings alive; a power of ten,

@@ -246,8 +246,8 @@ def dirac_plane_wave(k: float, m: float, branch: int = 0):
 
 def _gate_apply(g, plus, minus):
     """One gate on a site's (psi+, psi-): returns (psi-_out, psi+_out).
-    `g` is a DCMatrix or a complex array, indexed g[row, col]; the
-    amplitudes are complex scalars or arrays, or DualComplex numbers."""
+    `g` is a complex array, indexed g[row, col]; the amplitudes are
+    complex scalars or arrays."""
     return g[0, 0] * plus + g[0, 1] * minus, g[1, 0] * plus + g[1, 1] * minus
 
 
@@ -362,21 +362,36 @@ def _gate_rows(g, plus, minus):
     return g[..., :1] * plus[..., None, :] + g[..., 1:] * minus[..., None, :]
 
 
-def _discrepancies(patch: LorentzPatch, wires, fire, outputs) -> np.ndarray:
-    """Per row of wires, one part of the amplitudes each: the largest
-    modulus of the differences between sending alpha right-movers across
-    beta left-movers through the gate grid in causal wavefront order
-    (gate (i, j) fires at time i + j; fire(right, left) gives each row's
-    (psi-, psi+) rows) and the rows of outputs, one gate followed by the
-    encodings.  The wires are right-movers then left-movers in reverse,
-    so wavefront w pairs right wire i with the column alpha + beta - 1 - w
-    further on, and no wire twice."""
+def _dual_rows(g: DCMatrix, plus, minus):
+    """`_gate_rows` of a dual gate on rows that are the sig and eps parts,
+    the eps row by Leibniz.  Gate entries and spreads are purely real or
+    imaginary, so each product rounds as the scalar DualComplex one does."""
+    out = _gate_rows(g.sig, plus, minus)
+    out[1] += _gate_rows(g.inf, plus[0], minus[0])
+    return out
+
+
+def _discrepancies(patch: LorentzPatch, ins, rows, g_patch, g_one) -> np.ndarray:
+    """Per row of ins, one part of the (psi+, psi-) amplitudes each: the
+    largest modulus of the differences between sending alpha
+    right-movers across beta left-movers through the grid of gates
+    g_patch in causal wavefront order (gate (i, j) fires at time i + j)
+    and one gate g_one followed by the encodings; rows(g, plus, minus)
+    applies a gate as `_gate_rows` does.  The wires are right-movers then
+    left-movers in reverse, so wavefront w pairs right wire i with the
+    column alpha + beta - 1 - w further on, and no wire twice."""
     a, b = patch.alpha, patch.beta
-    with np.errstate(invalid="ignore"):  # an infinite mass gives NaN, which fails
+    spread = np.concatenate([patch.e_alpha.sig, patch.e_beta.sig])[:, 0]
+    # an infinite mass gives NaN, and a huge one inf, which fails: no warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        # each row's (psi+, psi-) spread over the alpha + beta wires; the
+        # spread is real and has no eps-part, so it encodes each part alone
+        wires, outputs = (np.repeat(r, [a, b], 1) * spread
+                          for r in (ins, rows(g_one, ins[:, :1], ins[:, 1:])[:, ::-1, 0]))
         for wave in range(a + b - 1):
             lo, hi, shift = max(0, wave - b + 1), min(a, wave + 1), a + b - 1 - wave
             right, left = wires[:, lo:hi], wires[:, lo + shift:hi + shift]
-            left[...], right[...] = fire(right, left).swapaxes(0, 1)
+            left[...], right[...] = rows(g_patch, right, left).swapaxes(0, 1)
         d = wires - outputs
         return np.max(np.hypot(d.real, d.imag), axis=1)  # NaN propagates
 
@@ -400,27 +415,10 @@ def covariance_check(
     """
     psip, psim = (x if isinstance(x, DualComplex) else DualComplex(x) for x in inputs)
     a, b = patch.alpha, patch.beta
-    spread = np.concatenate([patch.e_alpha.sig, patch.e_beta.sig])[:, 0]
-
-    def encode(rows):
-        """Each row's (psi+, psi-) spread over the alpha + beta wires; the
-        spread is real and has no eps-part, so it encodes each part alone."""
-        return np.repeat(rows, [a, b], 1) * spread
-
     if mode == "dual_exact":
-        # The wires' rows are the sig and eps parts.  Gate entries and
-        # spreads are purely real or imaginary, so each product rounds as
-        # the scalar DualComplex one does.
-        g = dirac_gate(patch.m_prime)
-
-        def fire(right, left):
-            out = _gate_rows(g.sig, right, left)
-            out[1] += _gate_rows(g.inf, right[0], left[0])  # Leibniz
-            return out
-
-        minus, plus = _gate_apply(dirac_gate(patch.m), psip, psim)
-        d = _discrepancies(patch, encode([[psip.sig, psim.sig], [psip.inf, psim.inf]]), fire,
-                           encode([[plus.sig, minus.sig], [plus.inf, minus.inf]]))
+        # the wires' rows are the sig and eps parts
+        d = _discrepancies(patch, np.array([[psip.sig, psim.sig], [psip.inf, psim.inf]]),
+                           _dual_rows, dirac_gate(patch.m_prime), dirac_gate(patch.m))
         return CovarianceReport("dual_exact", a, b, float(np.max(d)))
 
     if mode != "corrected":
@@ -432,10 +430,8 @@ def covariance_check(
     # array of wires, with no eps-part, which would be 0
     hs = (h, h / 2.0, h / 4.0)
     ins = np.array([(psip.sig + hh * psip.inf, psim.sig + hh * psim.inf) for hh in hs])
-    g = np.array([corrected_gate(patch.m_prime, hh) for hh in hs])
-    outs = _gate_rows(np.array([corrected_gate(patch.m, hh) for hh in hs]), ins[:, :1], ins[:, 1:])
-    ds = _discrepancies(patch, encode(ins), lambda right, left: _gate_rows(g, right, left),
-                        encode(outs[:, ::-1, 0])).tolist()
+    ds = _discrepancies(patch, ins, _gate_rows, *(
+        np.array([corrected_gate(m, hh) for hh in hs]) for m in (patch.m_prime, patch.m))).tolist()
     order = None
     if min(ds) > 1e-14:
         ratios = [ds[0] / ds[1], ds[1] / ds[2]]

@@ -363,16 +363,21 @@ class TestMalformedInput:
         assert main(["check", "hermitian", "--in", path]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
-    @pytest.mark.parametrize("argv", [["check", "unitary"], ["check", "spectrum"],
-                                      ["translate", "--correct", "--out", "{out}"]])
-    def test_measurement_with_too_few_labels_exits_2(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "unitary"], "kind: expected 'unitary' or 'state', got 'measurement'"),
+        (["check", "spectrum"], "kind: expected 'unitary' or 'state', got 'measurement'"),
+        (["translate", "--correct", "--out", "{out}"],
+         "labels: expected one per operator, got 0 for 1"),
+    ])
+    def test_measurement_with_too_few_labels_exits_2(self, tmp_path, capsys, argv, message):
+        # check refuses the kind before it reads the labels
         doc = {"kind": "measurement", "labels": [],
                "operators": [serialize.matrix_to_json(DCMatrix(np.eye(1)))]}
         path = _write_doc(tmp_path / "short_labels.json", doc)
         out = tmp_path / "o.json"
         assert main([a.format(out=out) for a in argv] + ["--in", path]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {path}: labels: expected one per operator, got 0 for 1\n"
+        assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == "" and not out.exists()
 
     def test_wrong_entry_count_exits_2(self, tmp_path, capsys):
@@ -403,19 +408,33 @@ class TestMalformedInput:
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("kind, argv, message", [
-        ("measurement", ["check", "unitary"], "check expects a unitary/matrix file"),
-        ("unitary", ["translate", "--extend"], "--extend expects a family file"),
-        ("state", ["translate", "--correct"], "translate expects a unitary or measurement file"),
-    ], ids=["check-measurement", "extend-unitary", "translate-state"])
+        ("measurement", ["check", "unitary"], "kind: expected 'unitary' or 'state', got "
+                                              "'measurement'"),
+        ("unitary", ["translate", "--extend"], "kind: expected 'family', got 'unitary'"),
+        ("state", ["translate", "--correct"], "kind: expected 'unitary' or 'measurement', "
+                                              "got 'state'"),
+        ("family", ["check", "unitary"], "kind: expected 'unitary' or 'state', got 'family'"),
+        ("family", ["translate", "--correct"], "kind: expected 'unitary' or 'measurement', "
+                                               "got 'family'"),
+        # refused before it is built, so its completeness is never checked
+        ("incomplete", ["check", "unitary"], "kind: expected 'unitary' or 'state', got "
+                                             "'measurement'"),
+        ("incomplete", ["check", "spectrum"], "kind: expected 'unitary' or 'state', got "
+                                              "'measurement'"),
+    ], ids=["check-measurement", "extend-unitary", "translate-state", "check-family",
+            "translate-family", "check-incomplete", "spectrum-incomplete"])
     def test_file_of_the_wrong_kind(self, tmp_path, capsys, kind, argv, message):
         docs = {
             "measurement": serialize.measurement_to_json(Measurement((DCMatrix(np.eye(2)),))),
+            "incomplete": {"kind": "measurement", "labels": [0],
+                           "operators": [serialize.matrix_to_json(DCMatrix(2 * np.eye(2)))]},
             "unitary": serialize.unitary_to_json(dirac_gate(0.7)),
             "state": serialize.state_to_json(normalize(DCVector(np.array([0.6, 0.8j])))),
+            "family": family_doc([np.eye(2)], [np.eye(2)], [np.eye(2)], 1e-3),
         }
         path = _write_doc(tmp_path / f"{kind}.json", docs[kind])
         out = str(tmp_path / "o.json")
-        assert main([*argv, "--in", path, *(["--out", out] if argv[0] == "translate" else [])]) == 2
+        assert main([*argv, "--in", path, "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
         assert not os.path.exists(out)
@@ -444,6 +463,25 @@ class TestMalformedInput:
         serialize.dump_json(serialize.state_to_json(state), str(path))
         assert main(["check", "unitary", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["worst_residual"] < 1e-15
+
+    @pytest.mark.parametrize("norm_sq, rc", [(1 + 2e-7, 0), (4.0, 1)])
+    def test_check_of_a_state_is_decided_by_rtol(self, tmp_path, capsys, norm_sq, rc):
+        """A state file is checked as its n x 1 column, as a unitary file of
+        that column is: --rtol decides, not the state's own tolerance, and
+        a failing state gets a report."""
+        col = DCMatrix(np.array([[np.sqrt(norm_sq)], [0.0]]))
+        reports = []
+        for doc in (serialize.unitary_to_json(col),
+                    {"kind": "state", "matrix": serialize.matrix_to_json(col)}):
+            path = _write_doc(tmp_path / f"{doc['kind']}.json", doc)
+            assert main(["--rtol", "1e-6", "check", "unitary", "--in", path]) == rc
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            reports.append(json.loads(captured.out))
+        assert reports[0] == reports[1]
+        assert reports[1]["pass"] is (rc == 0)
+        assert reports[1]["worst_residual"] == pytest.approx(
+            (norm_sq - 1) / max(1.0, np.sqrt(norm_sq)), rel=1e-6)
 
     def test_unitary_check_on_state_keeps_eps_part(self, tmp_path, capsys):
         # Re<sig|inf> = 4e-10 is inside the state tolerance, and
@@ -731,6 +769,25 @@ class TestTranslateCommand:
             assert np.array_equal(op.sig, z) and np.array_equal(op.inf, (p - m) / (2 * step))
         assert main(["translate", "--correct", "--h", "0.1", "--in", dst,
                      "--out", str(tmp_path / "corr.json")]) == 0
+
+    @pytest.mark.parametrize("samples", [
+        [[scipy.linalg.expm(1j * t * SZ)] for t in (0.0, 1e-3, -1e-3)],
+        rectangular_samples(1e-3),
+    ], ids=["unitary", "measurement"])
+    def test_a_family_loads_as_its_extension(self, tmp_path, samples):
+        # load_tagged reads a family as the value --extend writes, bit for bit
+        src = _write_doc(tmp_path / "fam.json", family_doc(*samples, 1e-3))
+        dst = str(tmp_path / "ext.json")
+        assert main(["translate", "--extend", "--in", src, "--out", dst]) == 0
+        loaded, written = serialize.load_tagged(src), serialize.load_tagged(dst)
+        assert type(loaded) is type(written)
+        if isinstance(written, Measurement):
+            assert loaded.labels == written.labels
+            loaded, written = loaded.operators, written.operators
+        else:
+            loaded, written = [loaded], [written]
+        assert [(m.sig.tobytes(), m.inf.tobytes()) for m in loaded] == [
+            (m.sig.tobytes(), m.inf.tobytes()) for m in written]
 
     def test_extend_rejects_non_family(self, tmp_path, capsys):
         src = write_unitary(tmp_path / "g.json", dirac_gate(1.0))

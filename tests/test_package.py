@@ -196,6 +196,19 @@ def test_a_walk_leaves_the_spectral_layer_and_the_engine_unloaded(tmp_path):
     assert not loaded & {"spectral", "quantum"}
 
 
+def test_a_state_check_leaves_the_engine_and_the_spectral_layer_unloaded(tmp_path):
+    # a state is checked as its n x 1 column, never built as a QuantumState
+    col = DCMatrix(np.array([[0.6], [0.8j]]))
+    doc = {**serialize.unitary_to_json(col), "kind": "state"}
+    serialize.dump_json(doc, str(tmp_path / "s.json"))
+    loaded = loaded_after("""
+        from dcquantum import cli
+        assert cli.main(["check", "unitary", "--in", "s.json"]) == 0
+        """, tmp_path)
+    assert "serialize" in loaded
+    assert not loaded & {"quantum", "spectral", "walk"}
+
+
 @pytest.mark.parametrize("argv", [["check", "spectrum", "--in", "u.json"],
                                   ["translate", "--correct", "--h", "0.1", "--in", "u.json",
                                    "--out", "c.json"],

@@ -323,8 +323,13 @@ class TestMatrixRejectsMalformed:
         ({"matrix": {}}, "missing key 'kind'"),
         ({"kind": "unitary"}, "missing key 'matrix'"),
         ({"kind": "measurement", "labels": []}, "missing key 'operators'"),
-        ({"kind": "measurement", "operators": [], "labels": []}, "operators and labels"),
-        ({"kind": "mystery"}, "unknown kind tag: 'mystery'"),
+        ({"kind": "measurement", "operators": [], "labels": []},
+         "operators: expected a non-empty list of matrices"),
+        ({"kind": "mystery"},
+         "kind: expected 'unitary' or 'state' or 'measurement' or 'family', got 'mystery'"),
+        ({"kind": ["unitary"]}, "kind: expected 'unitary' or "),
+        ({"kind": "measurement", "labels": "a", "operators": [
+            {"rows": 1, "cols": 1, "entries": [[1, 0, 0, 0]]}]}, "labels: expected a list, got str"),
         ([], "expected an object, got list"),
         ({"kind": "measurement", "labels": [0, 1], "operators": [
             {"rows": 2, "cols": 2, "entries": [[1, 0, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0]]},
