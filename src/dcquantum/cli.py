@@ -103,7 +103,7 @@ def _check_spectrum(m, atol: float, delta: float | None):
     except NotHermitian:
         try:
             spec = eig_unitary(m, delta)
-        except NotUnitary:  # the Hermitian residual raises NonSquare on a state
+        except NotUnitary:
             return False, min(residual(m, OperatorKind.HERMITIAN),
                               residual(m, OperatorKind.UNITARY))
     r = spec.reconstruct()
@@ -142,8 +142,10 @@ def cmd_check(args) -> int:
     from .linalg import OperatorKind, residual
     from .serialize import load_kind
 
-    # a state is checked as its n x 1 column, eps-part included, at --rtol
-    m = load_kind(args.input, "unitary", "state")
+    # only the isometry check reads a state: as its n x 1 column, eps-part
+    # included, at --rtol
+    kinds = ("unitary", "state") if args.what == "unitary" else ("unitary",)
+    m = load_kind(args.input, *kinds)
 
     if args.what in ("unitary", "hermitian"):
         worst = residual(m, OperatorKind(args.what))

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimMismatch, MalformedInput, MalformedShape, MalformedTrajectory
-from .jsonfmt import _SLOT, _frame, _indented_rows
 from .linalg import DCMatrix, DCVector
 from .scalar import DualComplex
 
@@ -287,6 +286,8 @@ def dump_json(obj: dict, path: str) -> None:
     json indents only in its pure-Python encoder, so it encodes just the
     frame around each matrix's entries, and the entries are formatted
     from a row template and each float's repr."""
+    from .jsonfmt import _SLOT, _frame, _indented_rows  # loaded only by a process that writes
+
     blocks = []
     pieces = json.dumps(_frame(obj, blocks), indent=1).split(f'"{_SLOT}"')
     if len(pieces) != len(blocks) + 1:

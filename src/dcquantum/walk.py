@@ -88,16 +88,17 @@ def run(w: WalkState, m: float, steps: int, record_every: int = 1) -> Trajectory
     return Trajectory(w, m, max(steps, 0), record_every)
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """The snapshots [initial, ...] of a walk, computed afresh on each
     iteration, so a consumer holds one snapshot at a time.  len() is the
     number of recorded times, and trajectory[i] walks once and keeps only
     snapshot i."""
 
-    __slots__ = ("initial", "m", "steps", "record_every")
-
-    def __init__(self, initial: WalkState, m: float, steps: int, record_every: int):
-        self.initial, self.m, self.steps, self.record_every = initial, m, steps, record_every
+    initial: WalkState
+    m: float
+    steps: int
+    record_every: int
 
     def __len__(self) -> int:
         return 1 + self.steps // self.record_every + (self.steps % self.record_every != 0)
@@ -235,20 +236,18 @@ def dirac_plane_wave(k: float, m: float, branch: int = 0):
     omega = float(evals[idx].real)
     u = evecs[:, idx]
 
-    def psip(x, t):
-        return u[0] * np.exp(1j * (k * x - omega * t))
+    def component(c):
+        return lambda x, t: c * np.exp(1j * (k * x - omega * t))
 
-    def psim(x, t):
-        return u[1] * np.exp(1j * (k * x - omega * t))
-
-    return psip, psim, omega
+    return component(u[0]), component(u[1]), omega
 
 
-def _gate_apply(g, plus, minus):
-    """One gate on a site's (psi+, psi-): returns (psi-_out, psi+_out).
-    `g` is a complex array, indexed g[row, col]; the amplitudes are
-    complex scalars or arrays."""
-    return g[0, 0] * plus + g[0, 1] * minus, g[1, 0] * plus + g[1, 1] * minus
+def _gate_rows(g, plus, minus):
+    """The (psi-, psi+) rows of g, one 2 x 2 gate or a stack of them
+    indexed g[..., row, col], on rows of sites' psi+ and psi- amplitudes,
+    each product with the gate entry first.  The continuum study and the
+    covariance check apply every gate through this one rule."""
+    return g[..., :1] * plus[..., None, :] + g[..., 1:] * minus[..., None, :]
 
 
 def continuum_residual(
@@ -257,7 +256,10 @@ def continuum_residual(
     """Residuals of the two corrected-gate update rows on smooth test
     functions; O(h^2) per step when (psip, psim) solves the Dirac
     equation."""
-    pred_minus, pred_plus = _gate_apply(corrected_gate(m, h), psip(x, t), psim(x, t))
+    # each value flattened to one row of sites and shaped back, so a scalar x gives scalars
+    rows = np.array([psip(x, t), psim(x, t)])
+    pred_minus, pred_plus = _gate_rows(corrected_gate(m, h), *rows.reshape(2, -1)).reshape(
+        rows.shape)
     r_minus = psim(x - h, t + h) - pred_minus
     r_plus = psip(x + h, t + h) - pred_plus
     return r_plus, r_minus
@@ -284,7 +286,7 @@ def walk_vs_continuum_error(sites: int, k: float = 1.0, m: float = 1.0):
     norm0 = math.sqrt(float(np.vdot(plus, plus).real + np.vdot(minus, minus).real))
     plus, minus = plus / norm0, minus / norm0
     for _ in range(steps):
-        minus, plus = _gate_apply(g, plus, minus)
+        minus, plus = _gate_rows(g, plus, minus)
         minus, plus = np.roll(minus, -1), np.roll(plus, 1)
     ref_plus = psip(x, t_end) / norm0
     ref_minus = psim(x, t_end) / norm0
@@ -353,13 +355,6 @@ class CovarianceReport:
         if self.fitted_order is None:  # too small to fit: only an exact 0 shows covariance
             return self.max_discrepancy == 0.0
         return 1.8 <= self.fitted_order <= 2.2
-
-
-def _gate_rows(g, plus, minus):
-    """`_gate_apply` on rows of sites: the (psi-, psi+) rows of g, one
-    2 x 2 gate or a stack of them, on rows of psi+ and psi- amplitudes,
-    each product with the gate entry first."""
-    return g[..., :1] * plus[..., None, :] + g[..., 1:] * minus[..., None, :]
 
 
 def _dual_rows(g: DCMatrix, plus, minus):

@@ -303,14 +303,6 @@ class TestCheckSpectrumKind:
         report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
         assert report["worst_residual"] <= 1e-13
 
-    def test_state_has_no_spectrum(self, tmp_path, capsys):
-        doc = serialize.state_to_json(normalize(DCVector(np.array([0.6, 0.8j]))))
-        path = _write_doc(tmp_path / "s.json", doc)
-        assert main(["check", "spectrum", "--in", path]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: NonSquare: ")
-
 
 def _write_doc(path, doc):
     path.write_text(json.dumps(doc))
@@ -365,7 +357,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("argv, message", [
         (["check", "unitary"], "kind: expected 'unitary' or 'state', got 'measurement'"),
-        (["check", "spectrum"], "kind: expected 'unitary' or 'state', got 'measurement'"),
+        (["check", "spectrum"], "kind: expected 'unitary', got 'measurement'"),
         (["translate", "--correct", "--out", "{out}"],
          "labels: expected one per operator, got 0 for 1"),
     ])
@@ -419,10 +411,14 @@ class TestMalformedInput:
         # refused before it is built, so its completeness is never checked
         ("incomplete", ["check", "unitary"], "kind: expected 'unitary' or 'state', got "
                                              "'measurement'"),
-        ("incomplete", ["check", "spectrum"], "kind: expected 'unitary' or 'state', got "
-                                              "'measurement'"),
+        ("incomplete", ["check", "spectrum"], "kind: expected 'unitary', got 'measurement'"),
+        # only the isometry check reads a state
+        ("state", ["check", "hermitian"], "kind: expected 'unitary', got 'state'"),
+        ("state", ["check", "semipositive"], "kind: expected 'unitary', got 'state'"),
+        ("state", ["check", "spectrum"], "kind: expected 'unitary', got 'state'"),
     ], ids=["check-measurement", "extend-unitary", "translate-state", "check-family",
-            "translate-family", "check-incomplete", "spectrum-incomplete"])
+            "translate-family", "check-incomplete", "spectrum-incomplete", "hermitian-state",
+            "semipositive-state", "spectrum-state"])
     def test_file_of_the_wrong_kind(self, tmp_path, capsys, kind, argv, message):
         docs = {
             "measurement": serialize.measurement_to_json(Measurement((DCMatrix(np.eye(2)),))),
@@ -514,7 +510,7 @@ def _valid_inputs():
     checks = [["check", "unitary"], ["check", "spectrum"], ["check", "semipositive"]]
     commands = {
         "unitary": [*checks, translate],
-        "state": checks,
+        "state": [["check", "unitary"]],
         "measurement": [translate],
         "rectangular": [translate],
         "family": [["translate", "--extend", "--out", "{out}"]],

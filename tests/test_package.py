@@ -196,6 +196,21 @@ def test_a_walk_leaves_the_spectral_layer_and_the_engine_unloaded(tmp_path):
     assert not loaded & {"spectral", "quantum"}
 
 
+@pytest.mark.parametrize("argv, writes_json", [
+    (["walk", "--mass", "0.5", "--sites", "8", "--steps", "3", "--out", "w.csv"], False),
+    (["check", "unitary", "--in", "u.json"], False),
+    (["check", "unitary", "--in", "u.json", "--out", "r.json"], True),
+], ids=["walk", "check", "check_out"])
+def test_only_a_json_writer_loads_the_json_formatting(tmp_path, argv, writes_json):
+    serialize.dump_json(serialize.unitary_to_json(DCMatrix(np.eye(2))), str(tmp_path / "u.json"))
+    loaded = loaded_after(f"""
+        from dcquantum import cli
+        assert cli.main({argv!r}) == 0
+        """, tmp_path)
+    assert "serialize" in loaded
+    assert ("jsonfmt" in loaded) is writes_json
+
+
 def test_a_state_check_leaves_the_engine_and_the_spectral_layer_unloaded(tmp_path):
     # a state is checked as its n x 1 column, never built as a QuantumState
     col = DCMatrix(np.array([[0.6], [0.8j]]))

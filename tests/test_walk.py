@@ -1,5 +1,6 @@
 """Dirac walk: gate, stepping, continuum limit, Lorentz covariance."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -315,6 +316,18 @@ class TestTrajectory:
             for b in parts[i + 1:]:
                 assert not np.shares_memory(a, b)
         assert all(not np.shares_memory(a, b) for a in parts for b in _parts(w))
+
+    def test_fields_are_frozen(self):
+        traj = run(point_source(4), 0.5, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.steps = 4
+        assert traj.steps == 3
+
+    def test_two_runs_compare_by_identity(self):
+        w = point_source(4)
+        first, second = run(w, 0.5, 3), run(w, 0.5, 3)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
 
 
 def _step_image(sites: int, m: float) -> np.ndarray:
@@ -767,6 +780,7 @@ class TestFoldedPathsBitIdentical:
             got = continuum_residual(psip, psim, 0.8, x=x, t=0.2, h=h)
             want = _reference_continuum_residual(psip, psim, 0.8, x=x, t=0.2, h=h)
             for g, w in zip(got, want):
+                assert (type(g), np.shape(g)) == (type(w), np.shape(w))
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     @pytest.mark.parametrize("alpha, beta", [(1, 1), (2, 3), (8, 8), (1, 5), (5, 1),
